@@ -6,7 +6,7 @@ relative rationality, and sweeps controller parameters to map the Pareto
 frontier of the success/rationality trade-off.
 """
 from .band_model import PriceBand, bid_from_control, control_from_bid
-from .controller import ControllerState, PiGains, reset, step
+from .controller import ControllerState, PiGains, step
 from .engine import (
     ENGINE_VERSION,
     BacktestReport,
@@ -34,9 +34,7 @@ from .strategies import (
     StatMode,
     StrategyKind,
     StrategySpec,
-    StrategyState,
     initial_bid_default,
-    next_bid,
     resolve_initial_bid,
     run_strategy,
     validate_spec,
@@ -74,7 +72,6 @@ __all__ = [
     "StrategyKind",
     "StrategyResult",
     "StrategySpec",
-    "StrategyState",
     "SweepConfig",
     "SweepPoint",
     "SynthConfig",
@@ -87,13 +84,11 @@ __all__ = [
     "distance",
     "format_timestamp",
     "initial_bid_default",
-    "next_bid",
     "pareto",
     "pareto_flags",
     "parse_aws_json",
     "parse_csv",
     "relative_rationality",
-    "reset",
     "resolve_initial_bid",
     "run_strategy",
     "score",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -64,23 +65,25 @@ def _round6(value: float) -> float:
     return round(value, 6)
 
 
-def _positive_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
 
 
 def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}"
-        ) from None
+    return tuple(_finite_float(part) for part in text.split(","))
 
 
 # ---------------------------------------------------------------- parsing
@@ -101,10 +104,16 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_band_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--floor", type=float, required=True, help="price floor (lowest spot price)"
+        "--floor",
+        type=_finite_float,
+        required=True,
+        help="price floor (lowest spot price)",
     )
     parser.add_argument(
-        "--ceiling", type=float, required=True, help="price ceiling (on-demand price)"
+        "--ceiling",
+        type=_finite_float,
+        required=True,
+        help="price ceiling (on-demand price)",
     )
 
 
@@ -163,13 +172,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bt.add_argument(
         "--pre-delta",
-        type=float,
+        type=_finite_float,
         default=0.0,
         help="shift each reference price before the controller sees it",
     )
     bt.add_argument(
         "--post-delta",
-        type=float,
+        type=_finite_float,
         default=0.0,
         help="shift each emitted bid (clamped into the band)",
     )
@@ -181,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bt.add_argument(
         "--initial-bid",
-        type=float,
+        type=_finite_float,
         help="first standing bid (default: half the ceiling)",
     )
     _add_output_flags(bt)
@@ -236,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sw.add_argument(
         "--initial-bid",
-        type=float,
+        type=_finite_float,
         help="first standing bid (default: half the ceiling)",
     )
     _add_output_flags(sw)
@@ -258,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sy.add_argument(
         "--step-scale",
-        type=float,
+        type=_finite_float,
         default=0.1,
         help="maximum jump magnitude between levels",
     )

@@ -63,8 +63,3 @@ def step(
     u = gains.kp * error + gains.ki * error_sum
     return u, ControllerState(error_sum=error_sum, last_error=error)
 
-
-def reset(state: ControllerState) -> ControllerState:
-    """Return a zeroed controller state."""
-    del state
-    return ControllerState()

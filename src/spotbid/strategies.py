@@ -1,4 +1,4 @@
-"""Bidding strategy catalogue behind one uniform next-bid interface.
+"""Bidding strategy catalogue and its replay loops.
 
 Six strategies share the same replay convention: bid_1 is the bid standing
 when the first price arrives, and after observing price p_j the strategy
@@ -10,18 +10,22 @@ model -> next bid.  The five baselines (minimum, mean, high, current,
 ondemand) are price statistics.  Bidding can be biased at three stages:
 shifting the reference prices (pre_delta, feedback only), changing the
 controller gains, or shifting the emitted bids (post_delta).
+
+run_strategy replays each kind with its own plain loop.  The feedback loop
+inlines controller.step and band_model.bid_from_control, which stay as the
+reference that tests hold it to bit for bit.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
-from . import controller
-from .band_model import PriceBand, bid_from_control
-from .controller import ControllerState, PiGains
-from .errors import UsageError
-from .trace import PriceTrace
+from .band_model import PriceBand
+from .controller import PiGains
+from .errors import DataError, UsageError
+from .trace import PriceTrace, format_timestamp
 
 
 class StrategyKind(enum.Enum):
@@ -95,19 +99,6 @@ class StrategySpec:
 
 
 @dataclass(frozen=True)
-class StrategyState:
-    """Per-kind replay state threaded through next_bid."""
-
-    controller: ControllerState | None = None  # feedback
-    prev_bid: float | None = None  # feedback: last emitted bid
-    running_min: float | None = None
-    running_sum: float = 0.0
-    running_max: float | None = None
-    count: int = 0
-    constant_bid: float | None = None  # fulltrace statistic / precomputed constant
-
-
-@dataclass(frozen=True)
 class BidSeries:
     """A strategy's bid trajectory: t+1 bids for a t-point trace.
 
@@ -160,65 +151,48 @@ def validate_spec(
             )
 
 
-def _full_trace_stat(kind: StrategyKind, prices: tuple[float, ...]) -> float:
-    if kind is StrategyKind.MINIMUM:
-        return min(prices)
-    if kind is StrategyKind.HIGH:
-        return max(prices)
-    return sum(prices) / len(prices)
+def _feedback_bids(
+    spec: StrategySpec, trace: PriceTrace, band: PriceBand
+) -> tuple[float, ...]:
+    """controller.step, bid_from_control and the post_delta clamp per price,
+    inlined over local floats with the same operations in the same order.
 
-
-def next_bid(
-    spec: StrategySpec,
-    state: StrategyState,
-    observed_price: float,
-    band: PriceBand,
-) -> tuple[float, StrategyState]:
-    """Emit the bid responding to one observed price, with updated state."""
-    if not math.isfinite(observed_price):
-        raise ValueError(f"observed price must be finite, got {observed_price!r}")
-    post = spec.adjustments.post_delta
-    kind = spec.kind
-
-    if kind is StrategyKind.FEEDBACK:
-        if state.controller is None or state.prev_bid is None:
-            raise ValueError("feedback state not initialized")
-        error = (observed_price + spec.adjustments.pre_delta) - state.prev_bid
-        u, ctrl = controller.step(state.controller, error, spec.gains, band)
-        bid = band.clamp(bid_from_control(u, band) + post)
-        return bid, replace(state, controller=ctrl, prev_bid=bid)
-
-    if kind is StrategyKind.ONDEMAND:
-        return band.ceiling, state
-
-    if kind is StrategyKind.CURRENT:
-        return band.clamp(observed_price + post), state
-
-    # statistic kinds
-    if spec.stat_mode is StatMode.FULL_TRACE:
-        if state.constant_bid is None:
-            raise ValueError("fulltrace state not initialized")
-        return state.constant_bid, state
-    count = state.count + 1
-    if kind is StrategyKind.MINIMUM:
-        stat = (
-            observed_price
-            if state.running_min is None
-            else min(state.running_min, observed_price)
-        )
-        new_state = replace(state, running_min=stat, count=count)
-    elif kind is StrategyKind.HIGH:
-        stat = (
-            observed_price
-            if state.running_max is None
-            else max(state.running_max, observed_price)
-        )
-        new_state = replace(state, running_max=stat, count=count)
-    else:
-        running_sum = state.running_sum + observed_price
-        stat = running_sum / count
-        new_state = replace(state, running_sum=running_sum, count=count)
-    return band.clamp(stat + post), new_state
+    Errors name the step: step j observes price p_j, j counted from 1 as in
+    the trajectory CSVs.
+    """
+    kp, ki = spec.gains.kp, spec.gains.ki
+    pre, post = spec.adjustments.pre_delta, spec.adjustments.post_delta
+    floor, ceiling, width = band.floor, band.ceiling, band.width
+    half_pi, pi, atan, isfinite = math.pi / 2, math.pi, math.atan, math.isfinite
+    bid = resolve_initial_bid(spec, band)
+    bids = [bid]
+    error_sum = 0.0
+    for step, point in enumerate(trace.points, 1):
+        price = point.price
+        error = (price + pre) - bid
+        # A non-finite price or error fails this comparison too.
+        if not -width < error < width:
+            if not isfinite(price):
+                raise ValueError(f"observed price must be finite, got {price!r}")
+            if not isfinite(error):
+                raise ValueError(f"error must be finite, got {error!r}")
+            raise DataError(
+                f"step {step} ({format_timestamp(point.timestamp)}): error {error} "
+                f"outside proportional band ({-width}, {width}); price and bid "
+                f"cannot both lie inside the price band"
+            )
+        error_sum += error
+        u = kp * error + ki * error_sum
+        if not isfinite(u):
+            raise DataError(
+                f"step {step} ({format_timestamp(point.timestamp)}): control "
+                f"signal {u!r} is not finite (kp={kp}, ki={ki}, error={error}, "
+                f"error_sum={error_sum}); the gains are too large for this trace"
+            )
+        bid = min(max(floor + width * ((half_pi - atan(u)) / pi), floor), ceiling)
+        bid = min(max(bid + post, floor), ceiling)
+        bids.append(bid)
+    return tuple(bids)
 
 
 def run_strategy(
@@ -228,28 +202,44 @@ def run_strategy(
 
     Constant strategies (ondemand, and the statistics in fulltrace mode)
     already bid their constant when the first price arrives; the other
-    strategies start from the configured initial bid.
+    strategies start from the configured initial bid.  A non-finite price
+    raises ValueError; for feedback, an error outside the proportional band
+    or a non-finite control signal raises DataError naming the step.
     """
     validate_spec(spec, band, require_negative_gains=False)
+    kind = spec.kind
+    if kind is StrategyKind.FEEDBACK:
+        bids = _feedback_bids(spec, trace, band)
+        return BidSeries(strategy_name=kind.value, bids=bids, spec=spec)
+
     prices = trace.prices()
-    post = spec.adjustments.post_delta
-
-    if spec.kind is StrategyKind.ONDEMAND:
-        first = band.ceiling
-        state = StrategyState()
-    elif spec.kind in STAT_KINDS and spec.stat_mode is StatMode.FULL_TRACE:
-        constant = band.clamp(_full_trace_stat(spec.kind, prices) + post)
-        first = constant
-        state = StrategyState(constant_bid=constant)
-    elif spec.kind is StrategyKind.FEEDBACK:
-        first = resolve_initial_bid(spec, band)
-        state = StrategyState(controller=ControllerState(), prev_bid=first)
-    else:
-        first = resolve_initial_bid(spec, band)
-        state = StrategyState()
-
-    bids = [first]
     for price in prices:
-        bid, state = next_bid(spec, state, price, band)
-        bids.append(bid)
-    return BidSeries(strategy_name=spec.kind.value, bids=tuple(bids), spec=spec)
+        if not math.isfinite(price):
+            raise ValueError(f"observed price must be finite, got {price!r}")
+    post = spec.adjustments.post_delta
+    if kind is StrategyKind.ONDEMAND:
+        bids = (band.ceiling,) * (len(prices) + 1)
+    elif spec.stat_mode is StatMode.FULL_TRACE:
+        if kind is StrategyKind.MINIMUM:
+            stat = min(prices)
+        elif kind is StrategyKind.HIGH:
+            stat = max(prices)
+        else:
+            stat = sum(prices) / len(prices)
+        bids = (band.clamp(stat + post),) * (len(prices) + 1)
+    else:
+        if kind is StrategyKind.CURRENT:
+            stats = prices
+        elif kind is StrategyKind.MINIMUM:
+            stats = accumulate(prices, min)
+        elif kind is StrategyKind.HIGH:
+            stats = accumulate(prices, max)
+        else:
+            # Sequential running sum from 0.0, not sum(): the causal mean's
+            # rounding follows the order the prices arrive in.
+            sums = accumulate(prices, initial=0.0)
+            next(sums)
+            stats = (total / count for count, total in enumerate(sums, 1))
+        first = resolve_initial_bid(spec, band)
+        bids = tuple(chain((first,), (band.clamp(stat + post) for stat in stats)))
+    return BidSeries(strategy_name=kind.value, bids=bids, spec=spec)

@@ -66,6 +66,42 @@ def test_zero_distance_is_data_error(tmp_path, capsys):
     assert "zero distance" in capsys.readouterr().err
 
 
+def test_control_signal_overflow_is_data_error(tmp_path, capsys):
+    jump = tmp_path / "jump.csv"
+    jump.write_text(
+        "timestamp,price\n"
+        "2020-01-01T00:00:00Z,1.3\n"
+        "2020-01-01T00:01:00Z,2.5\n"
+        "2020-01-01T00:02:00Z,0.3\n"
+    )
+    argv = ["backtest", "--trace", str(jump), *BAND_ARGS]
+    code = run([*argv, "--strategies", "feedback", "--kp", "1e308"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "control signal" in err
+    assert "step 3 (2020-01-01T00:02:00Z)" in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["backtest", "--kp", "inf"],
+        ["backtest", "--initial-bid", "nan"],
+        ["backtest", "--pre-delta", "inf"],
+        ["sweep", "--ki", "10,-inf"],
+        ["backtest", "--floor", "nan", "--ceiling", "2.6"],
+    ],
+)
+def test_nonfinite_float_flag_is_usage_error(flags, capsys):
+    command, *rest = flags
+    band = [] if "--floor" in rest else BAND_ARGS
+    assert run([command, "--trace", TRACE, *band, *rest]) == 1
+    err = capsys.readouterr().err
+    assert "must be finite" in err
+    assert "internal error" not in err
+
+
 def test_synth_then_ingest_round_trip(tmp_path):
     out = tmp_path / "synth.csv"
     assert (

@@ -106,13 +106,3 @@ def test_accumulation_matches_compensated_sum(errors):
     tolerance = 1e-12 * sum(abs(e) for e in errors)
     assert abs(state.error_sum - math.fsum(errors)) <= tolerance
 
-
-def test_reset(band):
-    _, state = sb.step(sb.ControllerState(), 1.0, GAINS, band)
-    zeroed = sb.reset(state)
-    assert zeroed == sb.ControllerState(error_sum=0.0, last_error=0.0)
-    assert sb.reset(zeroed) == zeroed
-    # after reset, a step reproduces the fresh-controller output
-    fresh_u, _ = sb.step(sb.ControllerState(), 0.7, GAINS, band)
-    reset_u, _ = sb.step(zeroed, 0.7, GAINS, band)
-    assert fresh_u == reset_u

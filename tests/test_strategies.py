@@ -2,7 +2,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spotbid as sb
@@ -73,16 +73,15 @@ def test_gain_sign_policy(band):
 
 
 def test_feedback_single_step_derived_example(band):
-    state = sb.StrategyState(controller=sb.ControllerState(), prev_bid=1.300)
-    bid, state2 = sb.next_bid(spec_for(sb.StrategyKind.FEEDBACK), state, 1.000, band)
+    series = sb.run_strategy(
+        spec_for(sb.StrategyKind.FEEDBACK, initial=1.300), make_trace([1.000]), band
+    )
     # e = -0.300, e_sum = -0.300, u = 6.0, bid = a + (b-a) * arccot(6) / pi
     error = 1.000 - 1.300
     u = -10.0 * error + -10.0 * error
     expected = 0.256 + (2.600 - 0.256) * ((math.pi / 2 - math.atan(u)) / math.pi)
-    assert bid == expected
-    assert abs(bid - 0.379) < 5e-4
-    assert state2.controller.error_sum == error
-    assert state2.prev_bid == bid
+    assert series.bids == (1.300, expected)
+    assert abs(series.bids[1] - 0.379) < 5e-4
 
 
 def test_feedback_constant_trace_golden(band):
@@ -185,13 +184,11 @@ def test_pre_delta_only_feeds_the_controller(band):
 
 
 def test_corrective_direction_single_step(band):
-    spec = spec_for(sb.StrategyKind.FEEDBACK)
-    below = sb.StrategyState(controller=sb.ControllerState(), prev_bid=0.9)
-    bid, _ = sb.next_bid(spec, below, 1.5, band)  # bid was below the price
-    assert bid > band.midpoint
-    above = sb.StrategyState(controller=sb.ControllerState(), prev_bid=2.0)
-    bid, _ = sb.next_bid(spec, above, 1.5, band)  # bid was above the price
-    assert bid < band.midpoint
+    trace = make_trace([1.5])
+    below = spec_for(sb.StrategyKind.FEEDBACK, initial=0.9)  # bid below the price
+    assert sb.run_strategy(below, trace, band).bids[1] > band.midpoint
+    above = spec_for(sb.StrategyKind.FEEDBACK, initial=2.0)  # bid above the price
+    assert sb.run_strategy(above, trace, band).bids[1] < band.midpoint
 
 
 @given(
@@ -229,6 +226,134 @@ def test_causal_stat_monotonicity(prices):
 
 def test_feedback_error_outside_band_is_data_error():
     band = sb.PriceBand(floor=0.256, ceiling=2.600)
-    trace = make_trace([5.0])  # price far above the ceiling
-    with pytest.raises(sb.DataError, match="proportional band"):
+    trace = make_trace([1.0, 1.0, 5.0])  # third price far above the ceiling
+    with pytest.raises(sb.DataError, match="proportional band") as info:
         sb.run_strategy(spec_for(sb.StrategyKind.FEEDBACK, initial=1.3), trace, band)
+    assert "step 3 (2020-01-01T00:02:00Z)" in str(info.value)
+
+
+def reference_replay(spec, prices, band):
+    """Step-by-step replay through controller.step, bid_from_control and
+    band.clamp, in the order the per-step strategy interface used.
+
+    Returns (bids, None), or (None, (exception, index of the price that
+    raised it)).
+    """
+    kind, post = spec.kind, spec.adjustments.post_delta
+    fulltrace = spec.stat_mode is sb.StatMode.FULL_TRACE
+    sb.validate_spec(spec, band, require_negative_gains=False)
+    if kind is sb.StrategyKind.ONDEMAND:
+        first = band.ceiling
+    elif fulltrace and kind is sb.StrategyKind.MINIMUM:
+        first = band.clamp(min(prices) + post)
+    elif fulltrace and kind is sb.StrategyKind.HIGH:
+        first = band.clamp(max(prices) + post)
+    elif fulltrace:
+        first = band.clamp(sum(prices) / len(prices) + post)
+    else:
+        first = sb.resolve_initial_bid(spec, band)
+    bids = [first]
+    state = sb.ControllerState()
+    running_min = running_max = None
+    running_sum = 0.0
+    for index, price in enumerate(prices):
+        try:
+            if not math.isfinite(price):
+                raise ValueError(f"observed price must be finite, got {price!r}")
+            if kind is sb.StrategyKind.FEEDBACK:
+                error = (price + spec.adjustments.pre_delta) - bids[-1]
+                u, state = sb.step(state, error, spec.gains, band)
+                bid = band.clamp(sb.bid_from_control(u, band) + post)
+            elif kind is sb.StrategyKind.ONDEMAND:
+                bid = band.ceiling
+            elif kind is sb.StrategyKind.CURRENT:
+                bid = band.clamp(price + post)
+            elif fulltrace:
+                bid = first
+            elif kind is sb.StrategyKind.MINIMUM:
+                running_min = price if running_min is None else min(running_min, price)
+                bid = band.clamp(running_min + post)
+            elif kind is sb.StrategyKind.HIGH:
+                running_max = price if running_max is None else max(running_max, price)
+                bid = band.clamp(running_max + post)
+            else:
+                running_sum = running_sum + price
+                bid = band.clamp(running_sum / (index + 1) + post)
+        except (ValueError, sb.SpotBidError) as exc:
+            return None, (exc, index)
+        bids.append(bid)
+    return tuple(bids), None
+
+
+REFERENCE_BAND = sb.PriceBand(floor=0.256, ceiling=2.600)
+# small gains, any finite gain, and the extremes where kp * error overflows
+finite_gain = (
+    st.floats(min_value=-20.0, max_value=20.0)
+    | st.floats(min_value=-1e308, max_value=1e308)
+    | st.sampled_from([-1e308, 1e308])
+)
+
+
+@st.composite
+def replay_prices(draw):
+    """Prices that sometimes leave the band, and sometimes one non-finite."""
+    prices = draw(
+        st.lists(st.floats(min_value=0.1, max_value=3.0), min_size=1, max_size=30)
+    )
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        at = draw(st.integers(min_value=0, max_value=len(prices) - 1))
+        prices[at] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return prices
+
+
+@st.composite
+def replay_specs(draw):
+    kind = draw(st.sampled_from(list(sb.StrategyKind)))
+    return sb.StrategySpec(
+        kind=kind,
+        gains=(
+            sb.PiGains(kp=draw(finite_gain), ki=draw(finite_gain))
+            if kind is sb.StrategyKind.FEEDBACK
+            else None
+        ),
+        adjustments=sb.Adjustments(
+            pre_delta=draw(st.floats(min_value=-0.5, max_value=0.5)),
+            post_delta=draw(st.floats(min_value=-0.5, max_value=0.5)),
+        ),
+        initial_bid=draw(
+            st.none() | st.floats(REFERENCE_BAND.floor, REFERENCE_BAND.ceiling)
+        ),
+        stat_mode=(
+            draw(st.sampled_from(list(sb.StatMode))) if kind in sb.STAT_KINDS else None
+        ),
+    )
+
+
+@settings(max_examples=400)
+@given(spec=replay_specs(), prices=replay_prices())
+@example(  # price leaves the band: proportional-band DataError at step 2
+    spec=spec_for(sb.StrategyKind.FEEDBACK, initial=1.3), prices=[1.0, 5.0, 1.0]
+)
+@example(  # kp * error overflows at step 3
+    spec=sb.StrategySpec(
+        kind=sb.StrategyKind.FEEDBACK, gains=sb.PiGains(kp=-1e308, ki=-10.0)
+    ),
+    prices=[1.3, 2.5, 0.3],
+)
+@example(spec=spec_for(sb.StrategyKind.MEAN), prices=[1.0, math.nan])
+def test_run_strategy_matches_reference_replay(spec, prices):
+    trace = make_trace(prices)
+    bids, failure = reference_replay(spec, prices, REFERENCE_BAND)
+    if failure is None:
+        assert sb.run_strategy(spec, trace, REFERENCE_BAND).bids == bids
+        return
+    exc, index = failure
+    expected_type = type(exc)
+    if "control signal" in str(exc):
+        expected_type = sb.DataError  # non-finite u is a data error in the loop
+    with pytest.raises(expected_type) as info:
+        sb.run_strategy(spec, trace, REFERENCE_BAND)
+    assert type(info.value) is expected_type
+    if expected_type is sb.DataError:
+        timestamp = sb.format_timestamp(trace.points[index].timestamp)
+        assert f"step {index + 1} ({timestamp})" in str(info.value)
