@@ -29,40 +29,44 @@ class MetricsSummary:
     relative_rationality: float | None = None
 
 
-def _scored_pairs(series: BidSeries, trace: PriceTrace) -> zip:
-    if len(series.bids) != len(trace.points) + 1:
+def score(series: BidSeries, trace: PriceTrace) -> MetricsSummary:
+    """Success rate and distance of one series, in one pass over the t
+    scored steps.
+
+    zip stops at the last price, so the trailing recommendation bid is never
+    read.  The distance is accumulated in step order by plain addition;
+    tests hold a straight-loop oracle to bitwise equality, so the order is
+    contractual.  An explicit loop, not builtin sum: newer interpreters
+    compensate float summation, which would change results in the last ulp.
+    |bid - price| is written as the difference on the side of the hit test
+    it falls on, which rounds to the same double.
+    """
+    bids, prices = series.bids, trace.prices()
+    if len(bids) != len(prices) + 1:
         raise DataError(
-            f"series/trace length mismatch: {len(series.bids)} bids for "
-            f"{len(trace.points)} prices (expected t+1 bids)"
+            f"series/trace length mismatch: {len(bids)} bids for "
+            f"{len(prices)} prices (expected t+1 bids)"
         )
-    return zip(series.scored_bids(), trace.prices())
+    hits = 0
+    total = 0.0
+    for bid, price in zip(bids, prices):
+        if bid >= price:
+            hits += 1
+            total += bid - price
+        else:
+            total += price - bid
+    return MetricsSummary(success_rate=hits / len(prices), distance=total)
 
 
 def success_rate(series: BidSeries, trace: PriceTrace) -> float:
-    """Fraction of the t scored steps with bid_i >= p_i."""
-    hits = sum(1 for bid, price in _scored_pairs(series, trace) if bid >= price)
-    return hits / len(trace.points)
+    """Fraction of the t scored steps with bid_i >= p_i (ties succeed)."""
+    return score(series, trace).success_rate
 
 
 def distance(series: BidSeries, trace: PriceTrace) -> float:
-    """L1 distance sum(|bid_i - p_i|) over the t scored steps.
-
-    Accumulated in step order by plain addition; tests hold a straight-loop
-    oracle to bitwise equality, so the order is contractual.  An explicit
-    loop, not builtin sum: newer interpreters compensate float summation,
-    which would change results in the last ulp.
-    """
-    total = 0.0
-    for bid, price in _scored_pairs(series, trace):
-        total += abs(bid - price)
-    return total
-
-
-def score(series: BidSeries, trace: PriceTrace) -> MetricsSummary:
-    return MetricsSummary(
-        success_rate=success_rate(series, trace),
-        distance=distance(series, trace),
-    )
+    """L1 distance sum(|bid_i - p_i|) over the t scored steps, summed in
+    step order."""
+    return score(series, trace).distance
 
 
 def relative_rationality(

@@ -13,14 +13,17 @@ controller gains, or shifting the emitted bids (post_delta).
 
 run_strategy replays each kind with its own plain loop.  The feedback loop
 inlines controller.step and band_model.bid_from_control, which stay as the
-reference that tests hold it to bit for bit.
+reference that tests hold it to bit for bit.  The loops read the trace's
+stored price tuple and clamp each bid with two if statements, which keep the
+same value as band.clamp's min/max on ties, -0.0 and NaN.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, count
+from operator import truediv
 
 from .band_model import PriceBand
 from .controller import PiGains
@@ -157,42 +160,59 @@ def _feedback_bids(
     """controller.step, bid_from_control and the post_delta clamp per price,
     inlined over local floats with the same operations in the same order.
 
+    The loop calls nothing but atan and append.  Each clamp is two if
+    statements, `if floor > x: x = floor` then `if ceiling < x: x =
+    ceiling`, which keep x on ties and NaN exactly as min(max(x, floor),
+    ceiling) does; the finiteness test on u is the comparison -inf < u < inf.
+
     Errors name the step: step j observes price p_j, j counted from 1 as in
     the trajectory CSVs.
     """
     kp, ki = spec.gains.kp, spec.gains.ki
     pre, post = spec.adjustments.pre_delta, spec.adjustments.post_delta
     floor, ceiling, width = band.floor, band.ceiling, band.width
-    half_pi, pi, atan, isfinite = math.pi / 2, math.pi, math.atan, math.isfinite
+    half_pi, pi, atan, inf = math.pi / 2, math.pi, math.atan, math.inf
     bid = resolve_initial_bid(spec, band)
     bids = [bid]
+    append = bids.append
     error_sum = 0.0
-    for step, point in enumerate(trace.points, 1):
-        price = point.price
+    for price in trace.prices():
         error = (price + pre) - bid
         # A non-finite price or error fails this comparison too.
         if not -width < error < width:
-            if not isfinite(price):
+            if not math.isfinite(price):
                 raise ValueError(f"observed price must be finite, got {price!r}")
-            if not isfinite(error):
+            if not math.isfinite(error):
                 raise ValueError(f"error must be finite, got {error!r}")
             raise DataError(
-                f"step {step} ({format_timestamp(point.timestamp)}): error {error} "
-                f"outside proportional band ({-width}, {width}); price and bid "
-                f"cannot both lie inside the price band"
+                f"{_step_label(trace, len(bids))}: error {error} outside "
+                f"proportional band ({-width}, {width}); price and bid cannot "
+                f"both lie inside the price band"
             )
         error_sum += error
         u = kp * error + ki * error_sum
-        if not isfinite(u):
+        if not -inf < u < inf:
             raise DataError(
-                f"step {step} ({format_timestamp(point.timestamp)}): control "
-                f"signal {u!r} is not finite (kp={kp}, ki={ki}, error={error}, "
+                f"{_step_label(trace, len(bids))}: control signal {u!r} is not "
+                f"finite (kp={kp}, ki={ki}, error={error}, "
                 f"error_sum={error_sum}); the gains are too large for this trace"
             )
-        bid = min(max(floor + width * ((half_pi - atan(u)) / pi), floor), ceiling)
-        bid = min(max(bid + post, floor), ceiling)
-        bids.append(bid)
+        bid = floor + width * ((half_pi - atan(u)) / pi)
+        if floor > bid:
+            bid = floor
+        if ceiling < bid:
+            bid = ceiling
+        bid = bid + post
+        if floor > bid:
+            bid = floor
+        if ceiling < bid:
+            bid = ceiling
+        append(bid)
     return tuple(bids)
+
+
+def _step_label(trace: PriceTrace, step: int) -> str:
+    return f"step {step} ({format_timestamp(trace.points[step - 1].timestamp)})"
 
 
 def run_strategy(
@@ -213,9 +233,9 @@ def run_strategy(
         return BidSeries(strategy_name=kind.value, bids=bids, spec=spec)
 
     prices = trace.prices()
-    for price in prices:
-        if not math.isfinite(price):
-            raise ValueError(f"observed price must be finite, got {price!r}")
+    if not all(map(math.isfinite, prices)):
+        bad = next(price for price in prices if not math.isfinite(price))
+        raise ValueError(f"observed price must be finite, got {bad!r}")
     post = spec.adjustments.post_delta
     if kind is StrategyKind.ONDEMAND:
         bids = (band.ceiling,) * (len(prices) + 1)
@@ -239,7 +259,17 @@ def run_strategy(
             # rounding follows the order the prices arrive in.
             sums = accumulate(prices, initial=0.0)
             next(sums)
-            stats = (total / count for count, total in enumerate(sums, 1))
-        first = resolve_initial_bid(spec, band)
-        bids = tuple(chain((first,), (band.clamp(stat + post) for stat in stats)))
+            stats = map(truediv, sums, count(1))
+        # band.clamp per step, written as in _feedback_bids.
+        floor, ceiling = band.floor, band.ceiling
+        bids = [resolve_initial_bid(spec, band)]
+        append = bids.append
+        for stat in stats:
+            bid = stat + post
+            if floor > bid:
+                bid = floor
+            if ceiling < bid:
+                bid = ceiling
+            append(bid)
+        bids = tuple(bids)
     return BidSeries(strategy_name=kind.value, bids=bids, spec=spec)

@@ -13,7 +13,7 @@ import io
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
 from .band_model import PriceBand
@@ -41,18 +41,27 @@ class PricePoint:
 
 @dataclass(frozen=True)
 class PriceTrace:
-    """Ordered spot-price observations plus market metadata labels."""
+    """Ordered spot-price observations plus market metadata labels.
+
+    The price column is built once, when the trace is constructed, because
+    every strategy replay and every scoring pass reads it.  It is derived
+    from points, so it takes no part in ==, hash or repr.
+    """
 
     points: tuple[PricePoint, ...]
     instance_type: str = ""
     product: str = ""
     zone: str = ""
+    _prices: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_prices", tuple([pt.price for pt in self.points]))
 
     def __len__(self) -> int:
         return len(self.points)
 
     def prices(self) -> tuple[float, ...]:
-        return tuple(pt.price for pt in self.points)
+        return self._prices
 
 
 @dataclass(frozen=True)
@@ -98,6 +107,18 @@ class SynthConfig:
             raise ValueError(
                 f"hold_steps_mean must be >= 1, got {self.hold_steps_mean}"
             )
+        if self.hold_steps_mean > 1:
+            # synth_step_hold divides by this log; past about 1e16 the
+            # argument rounds to 1.0 and the log is 0.0.
+            try:
+                denominator = math.log(1.0 - 1.0 / self.hold_steps_mean)
+            except OverflowError:
+                denominator = 0.0
+            if denominator == 0.0:
+                raise ValueError(
+                    f"hold_steps_mean {self.hold_steps_mean} is too large for a "
+                    f"geometric hold in double precision"
+                )
         if not (math.isfinite(self.step_scale) and self.step_scale > 0):
             raise ValueError(f"step_scale must be > 0, got {self.step_scale}")
         if not 0 <= self.seed < 2**64:
@@ -124,7 +145,12 @@ def _parse_timestamp(text: str, where: str) -> datetime:
         raise DataError(f"unparseable timestamp {text!r} at {where}") from None
     if ts.tzinfo is None:
         raise DataError(f"timestamp {text!r} at {where} lacks a UTC offset")
-    ts = ts.astimezone(timezone.utc)
+    try:
+        ts = ts.astimezone(timezone.utc)
+    except OverflowError:
+        raise DataError(
+            f"timestamp {text!r} at {where} is out of range in UTC"
+        ) from None
     if ts.microsecond:
         raise DataError(f"timestamp {text!r} at {where} has sub-second precision")
     return ts
@@ -221,9 +247,9 @@ def parse_aws_json(
         where = f"record {idx}"
         if not isinstance(rec, dict):
             raise DataError(f"{where} is not an object")
-        for field in _AWS_FIELDS:
-            if field not in rec:
-                raise DataError(f"{where} missing required field {field!r}")
+        for key in _AWS_FIELDS:
+            if key not in rec:
+                raise DataError(f"{where} missing required field {key!r}")
         spot = rec["SpotPrice"]
         if not isinstance(spot, str):
             raise DataError(f"{where}: SpotPrice must be quoted decimal text")

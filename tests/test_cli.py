@@ -102,6 +102,39 @@ def test_nonfinite_float_flag_is_usage_error(flags, capsys):
     assert "internal error" not in err
 
 
+def test_synth_hold_mean_beyond_double_precision_is_usage_error(capsys):
+    # log(1 - 1/h) rounds to 0.0 above about 1e16; far larger h cannot
+    # even be converted to a float.
+    for hold in ("100000000000000000", "1" + "0" * 400):
+        argv = ["synth", *BAND_ARGS, "--points", "5", "--hold-mean", hold]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "hold_steps_mean" in err
+        assert "internal error" not in err
+
+
+def test_timestamp_out_of_utc_range_is_data_error(tmp_path, capsys):
+    early = tmp_path / "early.csv"
+    early.write_text(
+        "timestamp,price\n2020-01-01T00:00:00Z,1.3\n0001-01-01T00:00:00+05:00,1.3\n"
+    )
+    assert run(["ingest", "--trace", str(early)]) == 2
+    err = capsys.readouterr().err
+    assert "out of range" in err and "line 3" in err
+    assert "internal error" not in err
+
+
+def test_aws_timestamp_out_of_utc_range_is_data_error(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "aws_5records.json").read_text())
+    doc["SpotPriceHistory"][1]["Timestamp"] = "9999-12-31T23:00:00-05:00"
+    late = tmp_path / "late.json"
+    late.write_text(json.dumps(doc))
+    assert run(["ingest", "--aws-json", str(late)]) == 2
+    err = capsys.readouterr().err
+    assert "out of range" in err and "record 1" in err
+    assert "internal error" not in err
+
+
 def test_synth_then_ingest_round_trip(tmp_path):
     out = tmp_path / "synth.csv"
     assert (

@@ -1,6 +1,8 @@
 """Metrics: success rate, distance, relative rationality."""
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import spotbid as sb
@@ -131,3 +133,44 @@ def test_score_bundles_both():
     assert summary.success_rate == 2 / 3
     assert summary.distance == pytest.approx(0.3, abs=1e-12)
     assert summary.relative_rationality is None
+
+
+def _score_loop(bids, prices):
+    """Straight-loop oracle: the hit count, then a sequential += of abs."""
+    hits = 0
+    for i in range(len(prices)):
+        if bids[i] >= prices[i]:
+            hits += 1
+    total = 0.0
+    for i in range(len(prices)):
+        total += abs(bids[i] - prices[i])
+    return hits / len(prices), total
+
+
+price = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+# None stands for a bid equal to its price, a tie
+bid = st.one_of(st.none(), st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False))
+
+
+@given(
+    steps=st.lists(st.tuples(price, bid), min_size=1, max_size=30),
+    trailing=st.floats(),
+    extra=st.sampled_from([0, 0, 0, 0, -1, 1]),
+)
+@example(steps=[(1.5, None), (0.0, -0.0), (2.0, -0.0)], trailing=math.nan, extra=0)
+def test_score_matches_straight_loop(steps, trailing, extra):
+    """Ties, signed zeros, any non-NaN scored bid, any trailing bid, and the
+    length-mismatch DataError; scores compared with ==."""
+    prices = [p for p, _ in steps]
+    bids = [p if b is None else b for p, b in steps] + [trailing]
+    bids = bids[:extra] if extra < 0 else bids + [trailing] * extra
+    series, trace = make_series(bids), make_trace(prices)
+    if extra:
+        for scorer in (sb.score, sb.success_rate, sb.distance):
+            with pytest.raises(sb.DataError, match="mismatch"):
+                scorer(series, trace)
+        return
+    expected_rate, expected_distance = _score_loop(bids, prices)
+    summary = sb.score(series, trace)
+    assert summary.success_rate == expected_rate == sb.success_rate(series, trace)
+    assert summary.distance == expected_distance == sb.distance(series, trace)

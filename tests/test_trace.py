@@ -1,4 +1,5 @@
 """Trace ingestion, validation, serialization, and synthesis."""
+import dataclasses
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -234,3 +235,38 @@ def test_synth_config_validation(band):
         sb.SynthConfig(band=band, n_points=5, step_scale=0.0)
     with pytest.raises(ValueError):
         sb.SynthConfig(band=band, n_points=5, seed=-1)
+    # holds up to 2**53 keep a nonzero geometric denominator and pass; the
+    # CLI test covers the rejected range above it
+    sb.synth_step_hold(sb.SynthConfig(band=band, n_points=5, hold_steps_mean=2**53))
+
+
+def test_stored_prices_match_points(band):
+    traces = [
+        sb.parse_csv((FIXTURES / "stephold_1001.csv").read_bytes()),
+        sb.parse_aws_json((FIXTURES / "aws_5records.json").read_bytes()),
+        sb.synth_step_hold(
+            sb.SynthConfig(band=band, n_points=300, hold_steps_mean=3, seed=5)
+        ),
+    ]
+    for trace in traces:
+        assert trace.prices() == tuple(pt.price for pt in trace.points)
+
+
+def test_stored_prices_leave_identity_unchanged():
+    trace = make_trace([1.0, 2.0, 1.5], zone="z")
+    twin = make_trace([1.0, 2.0, 1.5], zone="z")
+    assert trace == twin
+    assert hash(trace) == hash(twin) == hash((trace.points, "", "", "z"))
+    assert repr(trace) == (
+        f"PriceTrace(points={trace.points!r}, instance_type='', product='', zone='z')"
+    )
+    assert trace != make_trace([1.0, 2.0, 1.25], zone="z")
+
+
+def test_replaced_trace_rebuilds_prices():
+    trace = make_trace([1.0, 2.0, 1.5])
+    moved = dataclasses.replace(trace, zone="x")
+    assert moved.zone == "x"
+    assert moved.prices() == (1.0, 2.0, 1.5)
+    shorter = dataclasses.replace(trace, points=trace.points[1:])
+    assert shorter.prices() == (2.0, 1.5)
