@@ -325,7 +325,7 @@ def report_to_obj(report: BacktestReport, include_bids: bool) -> dict[str, objec
             },
         }
         if include_bids:
-            entry["bids"] = [_round6(bid) for bid in result.series.bids]
+            entry["bids"] = [round(bid, 6) for bid in result.series.bids]
         strategies.append(entry)
     return {
         "trace": _trace_obj(report),
@@ -340,9 +340,36 @@ def report_to_obj(report: BacktestReport, include_bids: bool) -> dict[str, objec
     }
 
 
+def _json(value: object, depth: int = 0) -> str:
+    """The text json.dumps(value, indent=2) gives, for str-keyed values.
+
+    With indent set, json.dumps runs the pure-Python encoder, which costs a
+    call and several chunks per float of a bids array.  This writer lays out
+    dicts and lists itself and hands each all-float list to the C encoder in
+    one call.  That is safe because both encoders write a float as
+    float.__repr__ (NaN and Infinity for the non-finite ones), and no
+    float's text contains ", ", so the only ", " in the C output are the
+    separators, which become the indented ",\\n".
+    """
+    pad = "\n" + "  " * (depth + 1)
+    if isinstance(value, dict) and value:
+        body = ("," + pad).join(
+            f"{json.dumps(key)}: {_json(item, depth + 1)}"
+            for key, item in value.items()
+        )
+        return "{" + pad + body + pad[:-2] + "}"
+    if isinstance(value, (list, tuple)) and value:
+        if all(type(item) is float for item in value):
+            body = json.dumps(value)[1:-1].replace(", ", "," + pad)
+        else:
+            body = ("," + pad).join(_json(item, depth + 1) for item in value)
+        return "[" + pad + body + pad[:-2] + "]"
+    return json.dumps(value)
+
+
 def render_report(report: BacktestReport, fmt: str, include_bids: bool) -> str:
     if fmt == "json":
-        return json.dumps(report_to_obj(report, include_bids), indent=2) + "\n"
+        return _json(report_to_obj(report, include_bids)) + "\n"
     lines = ["name,success_rate,distance,relative_rationality"]
     for result in report.results:
         m = result.metrics
@@ -412,14 +439,15 @@ def write_plot_data(report: BacktestReport, trace: PriceTrace, plot_dir: Path) -
     recommendation bid is excluded.
     """
     plot_dir.mkdir(parents=True, exist_ok=True)
+    # The index, timestamp and price columns are the same for every strategy.
+    prefixes = [
+        f"{i},{format_timestamp(point.timestamp)},{point.price:.6f},"
+        for i, point in enumerate(trace.points, start=1)
+    ]
     for result in report.results:
         lines = ["index,timestamp,spot_price,bid"]
-        for i, point in enumerate(trace.points, start=1):
-            bid = result.series.bids[i - 1]
-            lines.append(
-                f"{i},{format_timestamp(point.timestamp)},"
-                f"{point.price:.6f},{bid:.6f}"
-            )
+        bids = result.series.bids
+        lines += [f"{prefix}{bid:.6f}" for prefix, bid in zip(prefixes, bids)]
         _write_file(plot_dir / f"trajectory_{result.name}.csv", "\n".join(lines) + "\n")
     lines = ["name,success_rate,relative_rationality"]
     for result in report.results:

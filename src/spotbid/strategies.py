@@ -248,23 +248,33 @@ def run_strategy(
             stat = sum(prices) / len(prices)
         bids = (band.clamp(stat + post),) * (len(prices) + 1)
     else:
-        if kind is StrategyKind.CURRENT:
-            stats = prices
-        elif kind is StrategyKind.MINIMUM:
-            stats = accumulate(prices, min)
-        elif kind is StrategyKind.HIGH:
-            stats = accumulate(prices, max)
-        else:
+        if kind is StrategyKind.MEAN:
             # Sequential running sum from 0.0, not sum(): the causal mean's
             # rounding follows the order the prices arrive in.
             sums = accumulate(prices, initial=0.0)
             next(sums)
             stats = map(truediv, sums, count(1))
+        else:
+            stats = prices
+        # The running minimum and high start from the first price, which as
+        # a finite price always beats ±inf; a tie keeps the running value, as
+        # builtin min and max do.
+        running_min = kind is StrategyKind.MINIMUM
+        running_max = kind is StrategyKind.HIGH
+        low, high = math.inf, -math.inf
         # band.clamp per step, written as in _feedback_bids.
         floor, ceiling = band.floor, band.ceiling
         bids = [resolve_initial_bid(spec, band)]
         append = bids.append
         for stat in stats:
+            if running_min:
+                if stat < low:
+                    low = stat
+                stat = low
+            elif running_max:
+                if stat > high:
+                    high = stat
+                stat = high
             bid = stat + post
             if floor > bid:
                 bid = floor

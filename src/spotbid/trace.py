@@ -177,6 +177,15 @@ def parse_csv(raw: bytes | str) -> PriceTrace:
 
     Validation is a separate step (see validate); this only enforces that
     each row parses.
+
+    Each row is first converted inline, with the steps of _parse_timestamp
+    and _parse_price in the same order, which saves two calls and an
+    f-string per row: an aware stamp is converted to UTC (a "Z" or zero
+    offset already parses as timezone.utc), then must be at whole seconds,
+    and the price must be finite and non-negative (float() skips surrounding
+    whitespace as strip does).  A row that fails any step goes through the
+    two helpers instead.  They stay the only code that words a parse error,
+    so every message is theirs.
     """
     text = _decode(raw).lstrip("﻿")
     rows = csv.reader(io.StringIO(text))
@@ -186,6 +195,8 @@ def parse_csv(raw: bytes | str) -> PriceTrace:
             f"malformed header at line 1: expected 'timestamp,price', got {header!r}"
         )
     points: list[PricePoint] = []
+    append = points.append
+    utc, fromisoformat, isfinite = timezone.utc, datetime.fromisoformat, math.isfinite
     for line_no, row in enumerate(rows, start=2):
         if not row:
             continue
@@ -193,10 +204,24 @@ def parse_csv(raw: bytes | str) -> PriceTrace:
             raise DataError(
                 f"expected 2 columns at line {line_no}, got {len(row)}"
             )
+        stamp = row[0].strip()
+        if stamp.endswith(("Z", "z")):
+            stamp = stamp[:-1] + "+00:00"
+        try:
+            ts = fromisoformat(stamp)
+            if ts.tzinfo is not utc and ts.tzinfo is not None:
+                ts = ts.astimezone(utc)
+            price = float(row[1])
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if ts.tzinfo is utc and not ts.microsecond and isfinite(price) and price >= 0:
+                append(PricePoint(ts, price))
+                continue
         where = f"line {line_no}"
         ts = _parse_timestamp(row[0], where)
         price = _parse_price(row[1], where)
-        points.append(PricePoint(timestamp=ts, price=price))
+        append(PricePoint(timestamp=ts, price=price))
     if not points:
         raise DataError("empty body: no data rows after the header")
     return PriceTrace(points=tuple(points))

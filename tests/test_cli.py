@@ -1,10 +1,13 @@
 """Command-line behaviour: exit codes, formats, plot data, determinism."""
 import json
+import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import spotbid as sb
-from spotbid.cli import main
+from spotbid.cli import _json, main, render_report, report_to_obj
 from conftest import FIXTURES
 
 BAND_ARGS = ["--floor", "0.256", "--ceiling", "2.600"]
@@ -300,6 +303,25 @@ def test_plot_data_shape(tmp_path):
     comparison = (plot / "comparison.csv").read_text().splitlines()
     assert comparison[0] == "name,success_rate,relative_rationality"
     assert len(comparison) == 3
+    # Both trajectories, byte for byte, against a per-row formatter.
+    trace = sb.parse_csv((FIXTURES / "stephold_1001.csv").read_bytes())
+    band = sb.PriceBand(floor=0.256, ceiling=2.600)
+    specs = {
+        "feedback": sb.StrategySpec(
+            kind=sb.StrategyKind.FEEDBACK, gains=sb.PiGains(kp=-10.0, ki=-10.0)
+        ),
+        "ondemand": sb.StrategySpec(kind=sb.StrategyKind.ONDEMAND),
+    }
+    for name, spec in specs.items():
+        bids = sb.run_strategy(spec, trace, band).bids
+        lines = ["index,timestamp,spot_price,bid"]
+        for i, point in enumerate(trace.points, start=1):
+            lines.append(
+                f"{i},{sb.format_timestamp(point.timestamp)},"
+                f"{point.price:.6f},{bids[i - 1]:.6f}"
+            )
+        expected = ("\n".join(lines) + "\n").encode()
+        assert (plot / f"trajectory_{name}.csv").read_bytes() == expected
 
 
 def test_sweep_csv(tmp_path):
@@ -372,3 +394,54 @@ def test_log_level_env(tmp_path, monkeypatch, capsys):
     assert run(["ingest", "--trace", TRACE, "--out", str(tmp_path / "t.csv")]) == 0
     monkeypatch.setenv("SPOTBID_LOG", "bogus")
     assert run(["ingest", "--trace", TRACE, "--out", str(tmp_path / "t2.csv")]) == 0
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, 5e-324, 1e16, 0.1]
+JSON_FLOATS = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+JSON_TEXT = st.text() | st.sampled_from(
+    ["", "é", "日本", "\u2028", 'a "quoted" \\ \n\t\x00', "1.0, 2.0"]
+)
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | JSON_FLOATS
+    | JSON_TEXT
+    # all-float lists take the writer's C-encoder path
+    | st.lists(JSON_FLOATS, min_size=1)
+    | st.lists(JSON_FLOATS, min_size=1).map(tuple)
+    # lists mixing floats with ints or bools do not
+    | st.lists(JSON_FLOATS | st.integers() | st.booleans(), min_size=1)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children) | st.dictionaries(JSON_TEXT, children),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+@example([0.5, "1.0, 2.0"])
+@example({"bids": [math.nan, -0.0, [1.5]], "n": [1.5, 2, True]})
+def test_json_writer_matches_json_dumps_indent(value):
+    assert _json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("include_bids", [True, False])
+def test_render_report_matches_json_dumps_indent(stephold_trace, include_bids):
+    band = sb.PriceBand(floor=0.256, ceiling=2.600)
+    specs = [
+        sb.StrategySpec(kind=sb.StrategyKind.FEEDBACK, gains=sb.PiGains(kp=5.0, ki=5.0)),
+        sb.StrategySpec(kind=sb.StrategyKind.MINIMUM),
+        sb.StrategySpec(kind=sb.StrategyKind.ONDEMAND),
+    ]
+    report = sb.backtest(
+        stephold_trace,
+        specs,
+        band,
+        allow_positive_gains=True,
+        config_echo={"trace": "t.csv", "initial_bid": None, "kp": [5.0, 5.0]},
+    )
+    assert report.warnings  # a non-empty list of strings is covered too
+    expected = json.dumps(report_to_obj(report, include_bids), indent=2) + "\n"
+    assert render_report(report, "json", include_bids) == expected

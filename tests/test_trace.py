@@ -1,9 +1,11 @@
 """Trace ingestion, validation, serialization, and synthesis."""
+import csv
 import dataclasses
+import io
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spotbid as sb
@@ -58,6 +60,95 @@ def test_parse_csv_errors():
         sb.parse_csv(b"timestamp,price\n2015-05-03T00:20:06Z,0.2,extra\n")
     with pytest.raises(sb.DataError, match="price"):
         sb.parse_csv(b"timestamp,price\n2015-05-03T00:20:06Z,nan\n")
+
+
+def reference_parse_csv(raw: bytes) -> sb.PriceTrace:
+    """parse_csv as a plain loop that runs the row helpers on every row."""
+    text = raw.decode("utf-8").lstrip("\ufeff")
+    rows = csv.reader(io.StringIO(text))
+    header = next(rows, None)
+    if header is None or [cell.strip() for cell in header] != ["timestamp", "price"]:
+        raise sb.DataError(
+            f"malformed header at line 1: expected 'timestamp,price', got {header!r}"
+        )
+    points = []
+    for line_no, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise sb.DataError(f"expected 2 columns at line {line_no}, got {len(row)}")
+        where = f"line {line_no}"
+        ts = sb.trace._parse_timestamp(row[0], where)
+        price = sb.trace._parse_price(row[1], where)
+        points.append(sb.PricePoint(timestamp=ts, price=price))
+    if not points:
+        raise sb.DataError("empty body: no data rows after the header")
+    return sb.PriceTrace(points=tuple(points))
+
+
+# Rows parse_csv accepts: any offset, Z or z, whole seconds, padded fields,
+# finite non-negative prices.
+CSV_STAMPS = st.builds(
+    lambda ts, utc_form: ts.isoformat().replace("+00:00", utc_form),
+    st.datetimes(
+        timezones=st.sampled_from(
+            [
+                timezone.utc,
+                timezone(timedelta(hours=5)),
+                timezone(-timedelta(hours=3, minutes=30)),
+            ]
+        )
+    ).map(lambda ts: ts.replace(microsecond=0)),
+    st.sampled_from(["Z", "z", "+00:00", "-00:00"]),
+) | st.sampled_from(["2020-01-01 00:00:00Z", "2020-01-01T00:00:00+00:00:00.500000"])
+CSV_PRICES = st.floats(min_value=0, allow_infinity=False).map(repr) | st.sampled_from(
+    ["0", "-0.0", "1_0", "1E3"]
+)
+CSV_SPACE = st.sampled_from(["", " ", "\t", "  "])
+CSV_ROW = st.builds(
+    "{}{}{},{}{}{}".format, CSV_SPACE, CSV_STAMPS, CSV_SPACE, CSV_SPACE, CSV_PRICES, CSV_SPACE
+)
+# Rows it skips or rejects.
+CSV_ODD_ROW = st.sampled_from(
+    [
+        "",
+        "2020-01-01T00:00:00Z",
+        "2020-01-01T00:00:00Z,1.5,x",
+        "2020-01-01T00:00:00,1.5",
+        "2020-01-01T00:00:00.500000Z,1.5",
+        "2020-01-01T00:00:00.5Z,1.5",
+        "0001-01-01T00:00:00+05:00,1.5",
+        "9999-12-31T23:59:59-05:00,1.5",
+        "yesterday,1.5",
+        ",1.5",
+        "2020-01-01T00:00:00Z,nan",
+        "2020-01-01T00:00:00Z, inf",
+        "2020-01-01T00:00:00Z,-1",
+        "2020-01-01T00:00:00Z,1e400",
+        "2020-01-01T00:00:00Z,abc",
+        "2020-01-01T00:00:00Z,",
+    ]
+)
+
+
+def _parse_outcome(parse, raw):
+    try:
+        return repr(parse(raw).points)  # repr tells -0.0 and tzinfo apart
+    except sb.DataError as exc:
+        return f"DataError: {exc}"
+
+
+@settings(max_examples=400)
+@given(
+    rows=st.lists(CSV_ROW, max_size=8),
+    odd=st.lists(st.tuples(st.integers(0, 8), CSV_ODD_ROW), max_size=2),
+    bom=st.booleans(),
+)
+def test_parse_csv_matches_reference_loop(rows, odd, bom):
+    for at, row in odd:
+        rows.insert(at, row)
+    raw = (("\ufeff" if bom else "") + "timestamp,price\n" + "\n".join(rows)).encode()
+    assert _parse_outcome(sb.parse_csv, raw) == _parse_outcome(reference_parse_csv, raw)
 
 
 def test_csv_round_trip_fixture():
