@@ -65,6 +65,24 @@ def _round6(value: float) -> float:
     return round(value, 6)
 
 
+def _round_bids(bids: tuple[float, ...]) -> list[float]:
+    """[round(bid, 6) for bid in bids], rounding each run of repeats once.
+
+    Bids hold for long runs, and round(x, 6) converts through decimal on
+    every call.  Two equal nonzero doubles have identical bits, so a repeat
+    reuses the previous result; 0.0, -0.0 and NaN always go through round.
+    """
+    rounded: list[float] = []
+    append = rounded.append
+    last = value = math.nan
+    for bid in bids:
+        if bid != last or not bid:
+            last = bid
+            value = round(bid, 6)
+        append(value)
+    return rounded
+
+
 def _finite_float(text: str) -> float:
     try:
         value = float(text)
@@ -325,7 +343,7 @@ def report_to_obj(report: BacktestReport, include_bids: bool) -> dict[str, objec
             },
         }
         if include_bids:
-            entry["bids"] = [round(bid, 6) for bid in result.series.bids]
+            entry["bids"] = _round_bids(result.series.bids)
         strategies.append(entry)
     return {
         "trace": _trace_obj(report),

@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from operator import itemgetter
 
 from .band_model import PriceBand
 from .errors import DataError
@@ -136,7 +137,9 @@ def _decode(raw: bytes | str) -> str:
 
 def _parse_timestamp(text: str, where: str) -> datetime:
     raw = text.strip()
-    # Python 3.10 fromisoformat rejects the 'Z' suffix.
+    # fromisoformat reads "Z" only from Python 3.11 on, and never "z".  The
+    # inline fast paths of parse_csv and parse_aws_json hand it the raw text
+    # and leave padded, "z" and (on 3.10) "Z" stamps to this rewrite.
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
     try:
@@ -169,7 +172,13 @@ def _parse_price(text: str, where: str) -> float:
 
 
 def format_timestamp(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """The instant as `YYYY-MM-DDTHH:MM:SSZ` in UTC, sub-seconds dropped.
+
+    isoformat() always pads the year to four digits, which strftime's %Y
+    does not below year 1000 on glibc, and its first 19 characters are the
+    stamp up to the seconds.  It is also several times cheaper than strftime.
+    """
+    return ts.astimezone(timezone.utc).isoformat()[:19] + "Z"
 
 
 def parse_csv(raw: bytes | str) -> PriceTrace:
@@ -180,12 +189,13 @@ def parse_csv(raw: bytes | str) -> PriceTrace:
 
     Each row is first converted inline, with the steps of _parse_timestamp
     and _parse_price in the same order, which saves two calls and an
-    f-string per row: an aware stamp is converted to UTC (a "Z" or zero
-    offset already parses as timezone.utc), then must be at whole seconds,
-    and the price must be finite and non-negative (float() skips surrounding
-    whitespace as strip does).  A row that fails any step goes through the
-    two helpers instead.  They stay the only code that words a parse error,
-    so every message is theirs.
+    f-string per row: the stamp goes to fromisoformat as it is, an aware
+    stamp is converted to UTC (a "Z" or zero offset already parses as
+    timezone.utc), then must be at whole seconds, and the price must be
+    finite and non-negative (float() skips surrounding whitespace as strip
+    does).  A row that fails any step, a padded or "z" stamp among them,
+    goes through the two helpers instead.  They stay the only code that
+    words a parse error, so every message is theirs.
     """
     text = _decode(raw).lstrip("﻿")
     rows = csv.reader(io.StringIO(text))
@@ -204,11 +214,8 @@ def parse_csv(raw: bytes | str) -> PriceTrace:
             raise DataError(
                 f"expected 2 columns at line {line_no}, got {len(row)}"
             )
-        stamp = row[0].strip()
-        if stamp.endswith(("Z", "z")):
-            stamp = stamp[:-1] + "+00:00"
         try:
-            ts = fromisoformat(stamp)
+            ts = fromisoformat(row[0])
             if ts.tzinfo is not utc and ts.tzinfo is not None:
                 ts = ts.astimezone(utc)
             price = float(row[1])
@@ -244,6 +251,26 @@ def _common_label(values: list[str]) -> str:
     return values[0] if len(unique) == 1 else ""
 
 
+def _aws_record(
+    rec: object, where: str
+) -> tuple[datetime, float, str, str, str]:
+    """Check one record with the helpers; the wording of every record error."""
+    if not isinstance(rec, dict):
+        raise DataError(f"{where} is not an object")
+    for key in _AWS_FIELDS:
+        if key not in rec:
+            raise DataError(f"{where} missing required field {key!r}")
+    spot = rec["SpotPrice"]
+    if not isinstance(spot, str):
+        raise DataError(f"{where}: SpotPrice must be quoted decimal text")
+    ts = _parse_timestamp(str(rec["Timestamp"]), where)
+    price = _parse_price(spot, where)
+    instance_type = str(rec["InstanceType"])
+    product = str(rec["ProductDescription"])
+    zone = str(rec["AvailabilityZone"])
+    return ts, price, instance_type, product, zone
+
+
 def parse_aws_json(
     raw: bytes | str, trace_filter: TraceFilter = TraceFilter()
 ) -> PriceTrace:
@@ -252,6 +279,16 @@ def parse_aws_json(
     Accepts either a top-level array of records or an object with a
     `SpotPriceHistory` array.  Records matching every present filter field
     are kept and sorted by timestamp ascending, ties preserving input order.
+    Every record is checked, kept or not.
+
+    Each record is first checked inline, as parse_csv checks a row: five
+    str fields, the stamp straight to fromisoformat, an aware stamp converted
+    to UTC, then whole seconds and a finite non-negative price.  A record
+    that fails any step is checked again by _aws_record, which runs the
+    helpers in the original order.  It decides whether the record is
+    accepted after all (a padded stamp, a non-str label) and, if not, words
+    the error, so the first bad record and its message are the same as when
+    every record went through it.
     """
     text = _decode(raw)
     try:
@@ -267,44 +304,56 @@ def parse_aws_json(
     if not isinstance(records, list):
         raise DataError("expected an array of spot-price records")
 
+    want_type = trace_filter.instance_type
+    want_product = trace_filter.product
+    want_zone = trace_filter.zone
+    time_range = trace_filter.time_range
+    utc, fromisoformat, isfinite = timezone.utc, datetime.fromisoformat, math.isfinite
     kept: list[tuple[datetime, float, str, str, str]] = []
+    append = kept.append
     for idx, rec in enumerate(records):
-        where = f"record {idx}"
-        if not isinstance(rec, dict):
-            raise DataError(f"{where} is not an object")
-        for key in _AWS_FIELDS:
-            if key not in rec:
-                raise DataError(f"{where} missing required field {key!r}")
-        spot = rec["SpotPrice"]
-        if not isinstance(spot, str):
-            raise DataError(f"{where}: SpotPrice must be quoted decimal text")
-        ts = _parse_timestamp(str(rec["Timestamp"]), where)
-        price = _parse_price(spot, where)
-        instance_type = str(rec["InstanceType"])
-        product = str(rec["ProductDescription"])
-        zone = str(rec["AvailabilityZone"])
-        if trace_filter.instance_type is not None and instance_type != trace_filter.instance_type:
+        try:
+            stamp = rec["Timestamp"]
+            spot = rec["SpotPrice"]
+            instance_type = rec["InstanceType"]
+            product = rec["ProductDescription"]
+            zone = rec["AvailabilityZone"]
+            if not (
+                type(stamp) is str
+                and type(spot) is str
+                and type(instance_type) is str
+                and type(product) is str
+                and type(zone) is str
+            ):
+                raise TypeError  # _aws_record converts or rejects it
+            ts = fromisoformat(stamp)
+            if ts.tzinfo is not utc and ts.tzinfo is not None:
+                ts = ts.astimezone(utc)
+            price = float(spot)
+            if not (
+                ts.tzinfo is utc and not ts.microsecond and isfinite(price) and price >= 0
+            ):
+                raise ValueError
+        except (KeyError, TypeError, ValueError, OverflowError):
+            ts, price, instance_type, product, zone = _aws_record(rec, f"record {idx}")
+        if want_type is not None and instance_type != want_type:
             continue
-        if trace_filter.product is not None and product != trace_filter.product:
+        if want_product is not None and product != want_product:
             continue
-        if trace_filter.zone is not None and zone != trace_filter.zone:
+        if want_zone is not None and zone != want_zone:
             continue
-        if trace_filter.time_range is not None:
-            start, end = trace_filter.time_range
-            if not start <= ts <= end:
-                continue
-        kept.append((ts, price, instance_type, product, zone))
+        if time_range is not None and not time_range[0] <= ts <= time_range[1]:
+            continue
+        append((ts, price, instance_type, product, zone))
     if not kept:
         raise DataError("zero records after filtering")
 
-    kept.sort(key=lambda item: item[0])  # stable: ties keep input order
-    points = tuple(PricePoint(timestamp=ts, price=price) for ts, price, *_ in kept)
+    kept.sort(key=itemgetter(0))  # stable: ties keep input order
     return PriceTrace(
-        points=points,
-        instance_type=trace_filter.instance_type
-        or _common_label([item[2] for item in kept]),
-        product=trace_filter.product or _common_label([item[3] for item in kept]),
-        zone=trace_filter.zone or _common_label([item[4] for item in kept]),
+        points=tuple([PricePoint(ts, price) for ts, price, _, _, _ in kept]),
+        instance_type=want_type or _common_label([item[2] for item in kept]),
+        product=want_product or _common_label([item[3] for item in kept]),
+        zone=want_zone or _common_label([item[4] for item in kept]),
     )
 
 

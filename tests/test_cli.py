@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import spotbid as sb
-from spotbid.cli import _json, main, render_report, report_to_obj
+from spotbid.cli import _json, _round_bids, main, render_report, report_to_obj
 from conftest import FIXTURES
 
 BAND_ARGS = ["--floor", "0.256", "--ceiling", "2.600"]
@@ -162,6 +162,17 @@ def test_synth_then_ingest_round_trip(tmp_path):
     normalized = tmp_path / "normalized.csv"
     assert run(["ingest", "--trace", str(out), "--out", str(normalized)]) == 0
     assert normalized.read_text() == out.read_text()
+
+
+def test_ingest_round_trips_years_before_1000(tmp_path):
+    early = tmp_path / "early.csv"
+    early.write_text("timestamp,price\n0001-01-01T00:00:00Z,1.0\n0999-01-01T00:00:00Z,1.5\n")
+    once = tmp_path / "once.csv"
+    assert run(["ingest", "--trace", str(early), "--out", str(once)]) == 0
+    assert once.read_text() == early.read_text()
+    twice = tmp_path / "twice.csv"
+    assert run(["ingest", "--trace", str(once), "--out", str(twice)]) == 0
+    assert twice.read_text() == early.read_text()
 
 
 def test_ingest_aws_filtered_to_stdout(capsys):
@@ -425,6 +436,27 @@ JSON_VALUES = st.recursive(
 @example({"bids": [math.nan, -0.0, [1.5]], "n": [1.5, 2, True]})
 def test_json_writer_matches_json_dumps_indent(value):
     assert _json(value) == json.dumps(value, indent=2)
+
+
+# Runs of repeated bids, the case _round_bids shortcuts, among signed
+# zeros, NaN, infinities and values that round up or down.
+BID_RUNS = st.lists(
+    st.tuples(
+        st.floats()
+        | st.sampled_from(
+            [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 0.2500005, 1.0000004999]
+        ),
+        st.integers(1, 4),
+    ),
+    max_size=12,
+).map(lambda runs: tuple(bid for bid, count in runs for _ in range(count)))
+
+
+@given(BID_RUNS)
+@example((0.0, -0.0, -0.0, 0.0, math.nan, math.nan, math.inf, math.inf, -math.inf))
+@example((0.2500005, 0.2500005, 5e-324, 5e-324, -5e-324))
+def test_round_bids_matches_round(bids):
+    assert repr(_round_bids(bids)) == repr([round(bid, 6) for bid in bids])
 
 
 @pytest.mark.parametrize("include_bids", [True, False])

@@ -2,10 +2,11 @@
 import csv
 import dataclasses
 import io
+import json
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spotbid as sb
@@ -144,11 +145,47 @@ def _parse_outcome(parse, raw):
     odd=st.lists(st.tuples(st.integers(0, 8), CSV_ODD_ROW), max_size=2),
     bom=st.booleans(),
 )
+# ISO 8601 basic format and week dates: fromisoformat reads them from
+# Python 3.11 on, with or without the helper's "Z" rewrite
+@example(rows=["20200101T000000Z,1.5", "20200101T000100+0000,2"], odd=[], bom=False)
+@example(rows=["2020-W01-1T00:00:00Z,1.5", "2020W013T00:00:00z,2"], odd=[], bom=False)
 def test_parse_csv_matches_reference_loop(rows, odd, bom):
     for at, row in odd:
         rows.insert(at, row)
     raw = (("\ufeff" if bom else "") + "timestamp,price\n" + "\n".join(rows)).encode()
     assert _parse_outcome(sb.parse_csv, raw) == _parse_outcome(reference_parse_csv, raw)
+
+
+def _padded_strftime(ts: datetime) -> str:
+    utc_ts = ts.astimezone(timezone.utc)
+    return f"{utc_ts.year:04d}" + utc_ts.strftime("-%m-%dT%H:%M:%SZ")
+
+
+@given(
+    st.datetimes(
+        min_value=datetime(1, 1, 2),
+        max_value=datetime(9999, 12, 30),
+        timezones=st.sampled_from(
+            [timezone.utc, timezone(timedelta(0)), timezone(timedelta(hours=5))]
+        ),
+    )
+)
+@example(datetime(1, 1, 1, tzinfo=timezone.utc))
+@example(datetime(999, 12, 31, 23, 59, 59, 999999, tzinfo=timezone.utc))
+@example(datetime(1000, 1, 1, 4, 59, 59, tzinfo=timezone(timedelta(hours=5))))
+@example(datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=timezone(timedelta(0))))
+def test_format_timestamp_matches_padded_strftime(ts):
+    assert sb.format_timestamp(ts) == _padded_strftime(ts)
+
+
+def test_csv_round_trip_years_before_1000():
+    points = (
+        sb.PricePoint(datetime(1, 1, 1, tzinfo=timezone.utc), 1.0),
+        sb.PricePoint(datetime(999, 1, 1, tzinfo=timezone.utc), 1.5),
+    )
+    text = sb.to_csv(sb.PriceTrace(points=points))
+    assert text.splitlines()[1:] == ["0001-01-01T00:00:00Z,1.0", "0999-01-01T00:00:00Z,1.5"]
+    assert sb.parse_csv(text).points == points
 
 
 def test_csv_round_trip_fixture():
@@ -281,6 +318,178 @@ def test_parse_aws_json_errors():
     unparseable = dict(_record("2015-05-03T00:00:00Z"), SpotPrice="one")
     with pytest.raises(sb.DataError, match="unparseable price"):
         sb.parse_aws_json(json.dumps([unparseable]))
+
+
+def reference_parse_aws_json(
+    raw: bytes, trace_filter: sb.TraceFilter = sb.TraceFilter()
+) -> sb.PriceTrace:
+    """parse_aws_json as a plain loop that runs the record helpers on every record."""
+    doc = json.loads(raw)
+    records = doc["SpotPriceHistory"] if isinstance(doc, dict) else doc
+    kept = []
+    for idx, rec in enumerate(records):
+        where = f"record {idx}"
+        if not isinstance(rec, dict):
+            raise sb.DataError(f"{where} is not an object")
+        for key in sb.trace._AWS_FIELDS:
+            if key not in rec:
+                raise sb.DataError(f"{where} missing required field {key!r}")
+        spot = rec["SpotPrice"]
+        if not isinstance(spot, str):
+            raise sb.DataError(f"{where}: SpotPrice must be quoted decimal text")
+        ts = sb.trace._parse_timestamp(str(rec["Timestamp"]), where)
+        price = sb.trace._parse_price(spot, where)
+        instance_type = str(rec["InstanceType"])
+        product = str(rec["ProductDescription"])
+        zone = str(rec["AvailabilityZone"])
+        if trace_filter.instance_type is not None and instance_type != trace_filter.instance_type:
+            continue
+        if trace_filter.product is not None and product != trace_filter.product:
+            continue
+        if trace_filter.zone is not None and zone != trace_filter.zone:
+            continue
+        if trace_filter.time_range is not None:
+            start, end = trace_filter.time_range
+            if not start <= ts <= end:
+                continue
+        kept.append((ts, price, instance_type, product, zone))
+    if not kept:
+        raise sb.DataError("zero records after filtering")
+
+    def common(values):
+        return values[0] if len(set(values)) == 1 else ""
+
+    kept.sort(key=lambda item: item[0])
+    return sb.PriceTrace(
+        points=tuple(sb.PricePoint(timestamp=ts, price=price) for ts, price, *_ in kept),
+        instance_type=trace_filter.instance_type or common([item[2] for item in kept]),
+        product=trace_filter.product or common([item[3] for item in kept]),
+        zone=trace_filter.zone or common([item[4] for item in kept]),
+    )
+
+
+AWS_TZ = st.sampled_from(
+    [timezone.utc, timezone(timedelta(hours=5)), timezone(-timedelta(hours=3, minutes=30))]
+)
+AWS_INSTANTS = st.datetimes(
+    min_value=datetime(2020, 1, 1), max_value=datetime(2020, 1, 1, 3), timezones=AWS_TZ
+)
+# Stamps the parser accepts: any offset, "Z", "z", ".000Z", padded.
+AWS_STAMPS = st.builds(
+    lambda ts, utc_form, pad: pad + ts.replace(microsecond=0).isoformat().replace("+00:00", utc_form) + pad,
+    AWS_INSTANTS,
+    st.sampled_from(["Z", "z", ".000Z", "+00:00", "-00:00"]),
+    st.sampled_from(["", "", " "]),
+)
+AWS_PRICES = st.floats(min_value=0, max_value=10).map(repr) | st.sampled_from(
+    ["0", "-0.0", " 1.5 ", "1_0", "1E3"]
+)
+# Labels include an int, which the parser compares as str(5) == "5".
+AWS_LABELS = {
+    "InstanceType": ["g2.8xlarge", "g2.8xlarge", "m3.medium", 5],
+    "ProductDescription": ["Linux/UNIX", "Linux/UNIX", "Windows", 5],
+    "AvailabilityZone": ["us-east-1b", "us-east-1b", "us-east-1c", 5],
+}
+AWS_RECORD = st.fixed_dictionaries(
+    {
+        "Timestamp": AWS_STAMPS,
+        "SpotPrice": AWS_PRICES,
+        **{key: st.sampled_from(values) for key, values in AWS_LABELS.items()},
+    }
+)
+# Values that make a record fail, or take the helpers and pass.
+AWS_ODD_VALUES = [
+    ("Timestamp", value)
+    for value in [
+        1577836800,
+        None,
+        "",
+        "yesterday",
+        "2020-01-01T00:00:00",
+        "2020-01-01T00:00:00.500000Z",
+        "2020-01-01T00:00:00.5Z",
+        "0001-01-01T00:00:00+05:00",
+        "9999-12-31T23:59:59-05:00",
+        "20200101T000000Z",
+        "2020-W01-3T00:00:00Z",
+    ]
+] + [
+    ("SpotPrice", value)
+    for value in [1.5, 2, None, "nan", "inf", "-inf", "-1", "abc", "1e400", ""]
+] + [(key, value) for key in AWS_LABELS for value in [None, 2.5, ["x"]]]
+AWS_ODD_RECORD = (
+    st.sampled_from([[], "record", 1, None])
+    | st.builds(
+        lambda rec, drop: {key: value for key, value in rec.items() if key != drop},
+        AWS_RECORD,
+        st.sampled_from(sb.trace._AWS_FIELDS),
+    )
+    | st.builds(lambda rec, odd: {**rec, odd[0]: odd[1]}, AWS_RECORD, st.sampled_from(AWS_ODD_VALUES))
+)
+AWS_FILTERS = st.builds(
+    sb.TraceFilter,
+    instance_type=st.sampled_from([None, None, "g2.8xlarge", "5"]),
+    product=st.sampled_from([None, None, "Linux/UNIX", "5"]),
+    zone=st.sampled_from([None, None, "us-east-1b", "5"]),
+    time_range=st.sampled_from([None, None, None])
+    | st.lists(AWS_INSTANTS, min_size=2, max_size=2).map(lambda pair: tuple(sorted(pair))),
+)
+
+
+def _aws_outcome(parse, raw, trace_filter):
+    try:
+        return repr(parse(raw, trace_filter))  # points and the three labels
+    except sb.DataError as exc:
+        return f"DataError: {exc}"
+
+
+@settings(max_examples=400)
+@given(
+    records=st.lists(AWS_RECORD, max_size=8),
+    odd=st.lists(st.tuples(st.integers(0, 8), AWS_ODD_RECORD), max_size=2),
+    trace_filter=AWS_FILTERS,
+    wrapped=st.booleans(),
+)
+@example(  # prices that float() reads but the parser rejects
+    records=[_record("2020-01-01T00:00:00Z", price=" 1.5 "), _record("2020-01-01T00:00:01Z", price="inf")],
+    odd=[],
+    trace_filter=sb.TraceFilter(),
+    wrapped=False,
+)
+@example(
+    records=[_record("2020-01-01T00:00:00Z", price=" 1.5 "), _record("2020-01-01T00:00:01Z", price="-1")],
+    odd=[],
+    trace_filter=sb.TraceFilter(),
+    wrapped=False,
+)
+@example(  # labels compared as str(); stamps on both ends of the time range
+    records=[dict(_record(f"2020-01-01T0{hour}:00:00Z"), InstanceType=5) for hour in range(4)],
+    odd=[],
+    trace_filter=sb.TraceFilter(
+        instance_type="5",
+        time_range=(datetime(2020, 1, 1, 1, tzinfo=timezone.utc), datetime(2020, 1, 1, 2, tzinfo=timezone.utc)),
+    ),
+    wrapped=True,
+)
+@example(
+    records=[dict(_record("2020-01-01T00:00:00Z"), ProductDescription=5)],
+    odd=[(1, dict(_record("2020-01-01T00:00:01Z"), AvailabilityZone=5))],
+    trace_filter=sb.TraceFilter(product="5"),
+    wrapped=True,
+)
+@example(
+    records=[dict(_record("2020-01-01T00:00:00Z"), AvailabilityZone=5)],
+    odd=[],
+    trace_filter=sb.TraceFilter(),
+    wrapped=True,
+)
+def test_parse_aws_json_matches_reference_loop(records, odd, trace_filter, wrapped):
+    for at, rec in odd:
+        records.insert(at, rec)
+    raw = json.dumps({"SpotPriceHistory": records} if wrapped else records).encode()
+    assert _aws_outcome(sb.parse_aws_json, raw, trace_filter) == _aws_outcome(
+        reference_parse_aws_json, raw, trace_filter
+    )
 
 
 def test_trace_filter_validation():
