@@ -295,6 +295,9 @@ def parse_aws_json(
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid JSON: {exc}") from None
+    # The decoded text is as large as the input: free it before the kept
+    # records and the points are built, which lowers the peak memory.
+    del text
     if isinstance(doc, dict):
         records = doc.get("SpotPriceHistory")
         if records is None:
