@@ -5,6 +5,8 @@ five baseline strategies, scores each on success rate, distance, and
 relative rationality, and sweeps controller parameters to map the Pareto
 frontier of the success/rationality trade-off.
 """
+from types import ModuleType as _ModuleType
+
 from .band_model import PriceBand, bid_from_control, control_from_bid
 from .controller import ControllerState, PiGains, step
 from .engine import (
@@ -40,7 +42,6 @@ from .strategies import (
     validate_spec,
 )
 from .trace import (
-    PricePoint,
     PriceTrace,
     SynthConfig,
     TraceFilter,
@@ -54,50 +55,9 @@ from .trace import (
 
 __version__ = ENGINE_VERSION
 
-__all__ = [
-    "Adjustments",
-    "BacktestReport",
-    "BidSeries",
-    "ControllerState",
-    "DataError",
-    "ENGINE_VERSION",
-    "MetricsSummary",
-    "PiGains",
-    "PriceBand",
-    "PricePoint",
-    "PriceTrace",
-    "STAT_KINDS",
-    "SpotBidError",
-    "StatMode",
-    "StrategyKind",
-    "StrategyResult",
-    "StrategySpec",
-    "SweepConfig",
-    "SweepPoint",
-    "SynthConfig",
-    "TraceFilter",
-    "TraceMeta",
-    "UsageError",
-    "backtest",
-    "bid_from_control",
-    "control_from_bid",
-    "distance",
-    "format_timestamp",
-    "initial_bid_default",
-    "pareto",
-    "pareto_flags",
-    "parse_aws_json",
-    "parse_csv",
-    "relative_rationality",
-    "resolve_initial_bid",
-    "run_strategy",
-    "score",
-    "step",
-    "success_rate",
-    "sweep",
-    "synth_step_hold",
-    "to_csv",
-    "validate",
-    "validate_spec",
-    "__version__",
-]
+# The public names are the ones imported above, which binds the submodules
+# here as well; those stay out of a star import.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not (name.startswith("_") or isinstance(value, _ModuleType))
+) + ["__version__"]

@@ -41,7 +41,7 @@ from .trace import (
     PriceTrace,
     SynthConfig,
     TraceFilter,
-    format_timestamp,
+    format_timestamps,
     parse_aws_json,
     parse_csv,
     synth_step_hold,
@@ -59,10 +59,6 @@ _LOG_LEVELS = {
 }
 
 _ALL_STRATEGIES = ",".join(kind.value for kind in StrategyKind)
-
-
-def _round6(value: float) -> float:
-    return round(value, 6)
 
 
 def _round_bids(bids: tuple[float, ...]) -> list[float]:
@@ -335,11 +331,9 @@ def report_to_obj(report: BacktestReport, include_bids: bool) -> dict[str, objec
             "name": result.name,
             "spec": _spec_obj(result.series.spec),
             "metrics": {
-                "success_rate": _round6(result.metrics.success_rate),
-                "distance": _round6(result.metrics.distance),
-                "relative_rationality": _round6(
-                    result.metrics.relative_rationality
-                ),
+                "success_rate": round(result.metrics.success_rate, 6),
+                "distance": round(result.metrics.distance, 6),
+                "relative_rationality": round(result.metrics.relative_rationality, 6),
             },
         }
         if include_bids:
@@ -350,7 +344,7 @@ def report_to_obj(report: BacktestReport, include_bids: bool) -> dict[str, objec
         "band": {"floor": report.band.floor, "ceiling": report.band.ceiling},
         "strategies": strategies,
         "relative_rationality_set": {
-            name: _round6(rr) for name, rr in report.rationality_set()
+            name: round(rr, 6) for name, rr in report.rationality_set()
         },
         "config_echo": report.config_echo,
         "warnings": list(report.warnings),
@@ -413,9 +407,9 @@ def render_sweep(
                     "ki": p.ki,
                     "pre_delta": p.pre_delta,
                     "post_delta": p.post_delta,
-                    "success_rate": _round6(p.success_rate),
-                    "distance": _round6(p.distance),
-                    "relative_rationality": _round6(p.relative_rationality),
+                    "success_rate": round(p.success_rate, 6),
+                    "distance": round(p.distance, 6),
+                    "relative_rationality": round(p.relative_rationality, 6),
                     "pareto_member": p.pareto_member,
                 }
                 for p in points
@@ -438,16 +432,22 @@ def render_sweep(
 
 
 def trace_to_json(trace: PriceTrace) -> str:
-    obj = {
-        "instance_type": trace.instance_type,
-        "product": trace.product,
-        "zone": trace.zone,
-        "points": [
-            {"timestamp": format_timestamp(pt.timestamp), "price": pt.price}
-            for pt in trace.points
-        ],
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    """The labels and points as json.dumps(obj, indent=2) writes them.
+
+    Each point is laid out from the columns.  The C encoder writes the whole
+    price column in one call, split at its ", " separators, which no float
+    text contains.
+    """
+    labels = {key: getattr(trace, key) for key in ("instance_type", "product", "zone")}
+    head = json.dumps({**labels, "points": []}, indent=2)[: -len("[]\n}")]
+    if not trace.stamps:
+        return head + "[]\n}\n"
+    prices = json.dumps(trace.prices())[1:-1].split(", ")
+    body = ",\n".join(
+        f'    {{\n      "timestamp": "{text}",\n      "price": {price}\n    }}'
+        for text, price in zip(format_timestamps(trace.stamps), prices)
+    )
+    return f"{head}[\n{body}\n  ]\n}}\n"
 
 
 def write_plot_data(report: BacktestReport, trace: PriceTrace, plot_dir: Path) -> None:
@@ -459,8 +459,10 @@ def write_plot_data(report: BacktestReport, trace: PriceTrace, plot_dir: Path) -
     plot_dir.mkdir(parents=True, exist_ok=True)
     # The index, timestamp and price columns are the same for every strategy.
     prefixes = [
-        f"{i},{format_timestamp(point.timestamp)},{point.price:.6f},"
-        for i, point in enumerate(trace.points, start=1)
+        f"{i},{text},{price:.6f},"
+        for i, (text, price) in enumerate(
+            zip(format_timestamps(trace.stamps), trace.prices()), start=1
+        )
     ]
     for result in report.results:
         lines = ["index,timestamp,spot_price,bid"]

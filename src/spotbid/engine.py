@@ -8,7 +8,6 @@ identical output.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Callable, Sequence, TypeVar
@@ -50,9 +49,9 @@ class TraceMeta:
             instance_type=trace.instance_type,
             product=trace.product,
             zone=trace.zone,
-            start=format_timestamp(trace.points[0].timestamp),
-            end=format_timestamp(trace.points[-1].timestamp),
-            n_points=len(trace.points),
+            start=format_timestamp(trace.stamps[0]),
+            end=format_timestamp(trace.stamps[-1]),
+            n_points=len(trace),
         )
 
 
@@ -121,8 +120,10 @@ def _ordered_map(
     fn: Callable[[_T], _R], items: Sequence[_T], parallel: bool
 ) -> list[_R]:
     # ThreadPoolExecutor.map preserves input order, keeping parallel output
-    # identical to serial.
+    # identical to serial.  Imported here so that only --parallel pays for it.
     if parallel and len(items) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor() as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]

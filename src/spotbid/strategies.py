@@ -114,9 +114,6 @@ class BidSeries:
     bids: tuple[float, ...]
     spec: StrategySpec
 
-    def scored_bids(self) -> tuple[float, ...]:
-        return self.bids[:-1]
-
 
 def initial_bid_default(band: PriceBand) -> float:
     """Default first bid: half the band ceiling (the on-demand price)."""
@@ -212,7 +209,7 @@ def _feedback_bids(
 
 
 def _step_label(trace: PriceTrace, step: int) -> str:
-    return f"step {step} ({format_timestamp(trace.points[step - 1].timestamp)})"
+    return f"step {step} ({format_timestamp(trace.stamps[step - 1])})"
 
 
 def run_strategy(

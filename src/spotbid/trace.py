@@ -3,8 +3,13 @@
 A trace is the reference signal every strategy is replayed against.  Two
 input formats are supported: a two-column CSV (`timestamp,price`) and the
 JSON export shape of the EC2 spot-price-history tooling.  Timestamps are
-UTC instants at second resolution; prices are positive USD/hour values
-parsed into double precision.
+UTC instants at second resolution, held as epoch seconds (int); prices are
+positive USD/hour values parsed into double precision.
+
+A trace is two columns, not one object per point: replay and scoring read
+only the prices, and stamps are only compared and formatted, which plain
+ints do cheaply.  A per-point object cost as much to build as its row took
+to parse, and held more memory than both of its values.
 """
 from __future__ import annotations
 
@@ -13,15 +18,21 @@ import io
 import json
 import math
 import random
-from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
-from operator import itemgetter
+from collections import namedtuple
+from dataclasses import dataclass
+from datetime import date, datetime, timezone
+from itertools import islice
+from operator import itemgetter, lt
 
 from .band_model import PriceBand
 from .errors import DataError
 
-# Epoch for synthetic timestamps, one point per minute.
-SYNTH_EPOCH = datetime(2020, 1, 1, tzinfo=timezone.utc)
+# Epoch seconds of 2020-01-01T00:00:00Z; synthetic traces step one minute.
+SYNTH_EPOCH = 1577836800
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_EPOCH_ORDINAL = 719163  # date(1970, 1, 1).toordinal()
+_TWO_DIGITS = tuple(f"{n:02d}" for n in range(60))
 
 _AWS_FIELDS = (
     "Timestamp",
@@ -31,38 +42,34 @@ _AWS_FIELDS = (
     "AvailabilityZone",
 )
 
-
-@dataclass(frozen=True)
-class PricePoint:
-    """One spot-price observation: UTC instant and USD/hour price."""
-
-    timestamp: datetime
-    price: float
+TracePoint = namedtuple("TracePoint", ("timestamp", "price"))
 
 
 @dataclass(frozen=True)
 class PriceTrace:
     """Ordered spot-price observations plus market metadata labels.
 
-    The price column is built once, when the trace is constructed, because
-    every strategy replay and every scoring pass reads it.  It is derived
-    from points, so it takes no part in ==, hash or repr.
+    stamps holds each instant as UTC epoch seconds, price_column the price
+    observed at it.  ==, hash and repr come from the two columns and the
+    three labels.
     """
 
-    points: tuple[PricePoint, ...]
+    stamps: tuple[int, ...]
+    price_column: tuple[float, ...]
     instance_type: str = ""
     product: str = ""
     zone: str = ""
-    _prices: tuple[float, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_prices", tuple([pt.price for pt in self.points]))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.stamps)
 
     def prices(self) -> tuple[float, ...]:
-        return self._prices
+        return self.price_column
+
+    @property
+    def points(self) -> tuple[TracePoint, ...]:
+        """(timestamp, price) rows, built on each access; the package never reads it."""
+        return tuple(map(TracePoint, self.stamps, self.price_column))
 
 
 @dataclass(frozen=True)
@@ -171,21 +178,46 @@ def _parse_price(text: str, where: str) -> float:
     return price
 
 
-def format_timestamp(ts: datetime) -> str:
-    """The instant as `YYYY-MM-DDTHH:MM:SSZ` in UTC, sub-seconds dropped.
+def format_timestamp(stamp: int) -> str:
+    """The instant `stamp`, in UTC epoch seconds, as `YYYY-MM-DDTHH:MM:SSZ`.
 
-    isoformat() always pads the year to four digits, which strftime's %Y
-    does not below year 1000 on glibc, and its first 19 characters are the
-    stamp up to the seconds.  It is also several times cheaper than strftime.
+    stamp must lie in years 1 to 9999 (-62135596800 to 253402300799), or
+    ValueError is raised.  The year always has four digits, as isoformat
+    writes it, so every text parses back to the same stamp.
+
+    format_timestamps, the same code over a column, formats the date once
+    per day.  That cache is exact: floor division puts every stamp from
+    day_start to day_start + 86399 on one UTC day, negative stamps included,
+    and the time of day depends only on stamp - day_start.
     """
-    return ts.astimezone(timezone.utc).isoformat()[:19] + "Z"
+    return format_timestamps((stamp,))[0]
+
+
+def format_timestamps(stamps: tuple[int, ...]) -> list[str]:
+    """format_timestamp of each stamp, in order."""
+    texts: list[str] = []
+    append = texts.append
+    two = _TWO_DIGITS
+    day_start = day_end = 0
+    day = ""
+    for stamp in stamps:
+        if not day_start <= stamp < day_end:
+            days = stamp // 86400
+            day_start = days * 86400
+            day_end = day_start + 86400
+            day = date.fromordinal(days + _EPOCH_ORDINAL).isoformat() + "T"
+        hours, rest = divmod(stamp - day_start, 3600)
+        minutes, seconds = divmod(rest, 60)
+        append(f"{day}{two[hours]}:{two[minutes]}:{two[seconds]}Z")
+    return texts
 
 
 def parse_csv(raw: bytes | str) -> PriceTrace:
     """Parse `timestamp,price` CSV into a trace, in file order.
 
     Validation is a separate step (see validate); this only enforces that
-    each row parses.
+    each row parses.  The UTC stamp becomes epoch seconds as whole days and
+    seconds of its distance from 1970-01-01.
 
     Each row is first converted inline, with the steps of _parse_timestamp
     and _parse_price in the same order, which saves two calls and an
@@ -204,9 +236,11 @@ def parse_csv(raw: bytes | str) -> PriceTrace:
         raise DataError(
             f"malformed header at line 1: expected 'timestamp,price', got {header!r}"
         )
-    points: list[PricePoint] = []
-    append = points.append
-    utc, fromisoformat, isfinite = timezone.utc, datetime.fromisoformat, math.isfinite
+    stamps: list[int] = []
+    prices: list[float] = []
+    append_stamp, append_price = stamps.append, prices.append
+    utc, epoch = timezone.utc, _EPOCH
+    fromisoformat, isfinite = datetime.fromisoformat, math.isfinite
     for line_no, row in enumerate(rows, start=2):
         if not row:
             continue
@@ -219,19 +253,20 @@ def parse_csv(raw: bytes | str) -> PriceTrace:
             if ts.tzinfo is not utc and ts.tzinfo is not None:
                 ts = ts.astimezone(utc)
             price = float(row[1])
+            inline = (ts.tzinfo is utc and not ts.microsecond
+                      and isfinite(price) and price >= 0)
         except (ValueError, OverflowError):
-            pass
-        else:
-            if ts.tzinfo is utc and not ts.microsecond and isfinite(price) and price >= 0:
-                append(PricePoint(ts, price))
-                continue
-        where = f"line {line_no}"
-        ts = _parse_timestamp(row[0], where)
-        price = _parse_price(row[1], where)
-        append(PricePoint(timestamp=ts, price=price))
-    if not points:
+            inline = False
+        if not inline:
+            where = f"line {line_no}"
+            ts = _parse_timestamp(row[0], where)
+            price = _parse_price(row[1], where)
+        delta = ts - epoch
+        append_stamp(delta.days * 86400 + delta.seconds)
+        append_price(price)
+    if not stamps:
         raise DataError("empty body: no data rows after the header")
-    return PriceTrace(points=tuple(points))
+    return PriceTrace(tuple(stamps), tuple(prices))
 
 
 def to_csv(trace: PriceTrace) -> str:
@@ -240,15 +275,13 @@ def to_csv(trace: PriceTrace) -> str:
     Prices are written with repr so that parse(to_csv(trace)) recovers the
     exact same doubles.
     """
-    lines = ["timestamp,price"]
-    for pt in trace.points:
-        lines.append(f"{format_timestamp(pt.timestamp)},{pt.price!r}")
-    return "\n".join(lines) + "\n"
+    texts = format_timestamps(trace.stamps)
+    lines = [f"{text},{price!r}" for text, price in zip(texts, trace.price_column)]
+    return "\n".join(["timestamp,price", *lines]) + "\n"
 
 
-def _common_label(values: list[str]) -> str:
-    unique = set(values)
-    return values[0] if len(unique) == 1 else ""
+def _common_label(values: tuple[str, ...]) -> str:
+    return values[0] if len(set(values)) == 1 else ""
 
 
 def _aws_record(
@@ -279,7 +312,8 @@ def parse_aws_json(
     Accepts either a top-level array of records or an object with a
     `SpotPriceHistory` array.  Records matching every present filter field
     are kept and sorted by timestamp ascending, ties preserving input order.
-    Every record is checked, kept or not.
+    Every record is checked, kept or not; only a kept one has its stamp
+    converted to epoch seconds.
 
     Each record is first checked inline, as parse_csv checks a row: five
     str fields, the stamp straight to fromisoformat, an aware stamp converted
@@ -296,7 +330,7 @@ def parse_aws_json(
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid JSON: {exc}") from None
     # The decoded text is as large as the input: free it before the kept
-    # records and the points are built, which lowers the peak memory.
+    # records and the columns are built, which lowers the peak memory.
     del text
     if isinstance(doc, dict):
         records = doc.get("SpotPriceHistory")
@@ -311,8 +345,9 @@ def parse_aws_json(
     want_product = trace_filter.product
     want_zone = trace_filter.zone
     time_range = trace_filter.time_range
-    utc, fromisoformat, isfinite = timezone.utc, datetime.fromisoformat, math.isfinite
-    kept: list[tuple[datetime, float, str, str, str]] = []
+    utc, epoch = timezone.utc, _EPOCH
+    fromisoformat, isfinite = datetime.fromisoformat, math.isfinite
+    kept: list[tuple[int, float, str, str, str]] = []
     append = kept.append
     for idx, rec in enumerate(records):
         try:
@@ -347,34 +382,40 @@ def parse_aws_json(
             continue
         if time_range is not None and not time_range[0] <= ts <= time_range[1]:
             continue
-        append((ts, price, instance_type, product, zone))
+        delta = ts - epoch
+        append((delta.days * 86400 + delta.seconds, price, instance_type, product, zone))
     if not kept:
         raise DataError("zero records after filtering")
 
     kept.sort(key=itemgetter(0))  # stable: ties keep input order
+    stamps, prices, types, products, zones = zip(*kept)
     return PriceTrace(
-        points=tuple([PricePoint(ts, price) for ts, price, _, _, _ in kept]),
-        instance_type=want_type or _common_label([item[2] for item in kept]),
-        product=want_product or _common_label([item[3] for item in kept]),
-        zone=want_zone or _common_label([item[4] for item in kept]),
+        stamps,
+        prices,
+        instance_type=want_type or _common_label(types),
+        product=want_product or _common_label(products),
+        zone=want_zone or _common_label(zones),
     )
 
 
 def validate(trace: PriceTrace) -> PriceTrace:
-    """Check trace invariants: nonempty, increasing timestamps, positive prices."""
-    if not trace.points:
+    """Check trace invariants: nonempty, increasing timestamps, positive prices.
+
+    A valid trace is decided by passes in C (all over map, min); only an
+    invalid one is walked in Python, to name its first bad index.
+    """
+    prices, stamps = trace.price_column, trace.stamps
+    if not prices:
         raise DataError("empty trace")
-    for idx, pt in enumerate(trace.points):
-        if not (math.isfinite(pt.price) and pt.price > 0):
-            raise DataError(f"nonpositive price {pt.price} at index {idx}")
-    for idx in range(1, len(trace.points)):
-        prev = trace.points[idx - 1].timestamp
-        curr = trace.points[idx].timestamp
-        if curr <= prev:
-            raise DataError(
-                f"non-increasing timestamps at indices {idx - 1} and {idx}: "
-                f"{format_timestamp(prev)} then {format_timestamp(curr)}"
-            )
+    if not (all(map(math.isfinite, prices)) and min(prices) > 0):
+        idx = next(i for i, p in enumerate(prices) if not (math.isfinite(p) and p > 0))
+        raise DataError(f"nonpositive price {prices[idx]} at index {idx}")
+    if not all(map(lt, stamps, islice(stamps, 1, None))):
+        idx = next(i for i in range(1, len(stamps)) if stamps[i] <= stamps[i - 1])
+        raise DataError(
+            f"non-increasing timestamps at indices {idx - 1} and {idx}: "
+            f"{format_timestamp(stamps[idx - 1])} then {format_timestamp(stamps[idx])}"
+        )
     return trace
 
 
@@ -387,7 +428,7 @@ def synth_step_hold(config: SynthConfig) -> PriceTrace:
     inverse-CDF transform 1 + floor(log(1-U) / log(1 - 1/hold_steps_mean))
     (a single step when the mean is 1) and a uniform jump in
     [-step_scale, +step_scale] clamped into the band.  Timestamps advance
-    one minute per point from a fixed epoch.
+    one minute per point from SYNTH_EPOCH.
     """
     band = config.band
     rng = random.Random(config.seed)
@@ -405,8 +446,5 @@ def synth_step_hold(config: SynthConfig) -> PriceTrace:
             prices.append(level)
         jump = rng.uniform(-config.step_scale, config.step_scale)
         level = band.clamp(level + jump)
-    points = tuple(
-        PricePoint(timestamp=SYNTH_EPOCH + timedelta(minutes=i), price=price)
-        for i, price in enumerate(prices)
-    )
-    return PriceTrace(points=points, instance_type="synthetic")
+    stamps = tuple(range(SYNTH_EPOCH, SYNTH_EPOCH + 60 * len(prices), 60))
+    return PriceTrace(stamps, tuple(prices), instance_type="synthetic")

@@ -11,17 +11,20 @@ import spotbid as sb
 FIXTURES = Path(__file__).parent / "fixtures"
 
 EPOCH = datetime(2020, 1, 1, tzinfo=timezone.utc)
+UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+def epoch_seconds(ts: datetime) -> int:
+    """The aware instant ts as UTC epoch seconds, sub-seconds dropped."""
+    return (ts - UNIX_EPOCH) // timedelta(seconds=1)
 
 
 def make_trace(prices, start=EPOCH, spacing_minutes=1, **meta) -> sb.PriceTrace:
     """Trace with the given prices at minute-spaced timestamps."""
-    points = tuple(
-        sb.PricePoint(
-            timestamp=start + timedelta(minutes=i * spacing_minutes), price=price
-        )
-        for i, price in enumerate(prices)
-    )
-    return sb.PriceTrace(points=points, **meta)
+    prices = tuple(prices)
+    first, step = epoch_seconds(start), 60 * spacing_minutes
+    stamps = tuple(first + step * i for i in range(len(prices)))
+    return sb.PriceTrace(stamps, prices, **meta)
 
 
 def make_series(bids, name="test", kind=sb.StrategyKind.ONDEMAND) -> sb.BidSeries:

@@ -1,13 +1,24 @@
 """Command-line behaviour: exit codes, formats, plot data, determinism."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import spotbid as sb
-from spotbid.cli import _json, _round_bids, main, render_report, report_to_obj
+from spotbid.cli import (
+    _json,
+    _round_bids,
+    main,
+    render_report,
+    report_to_obj,
+    trace_to_json,
+)
 from conftest import FIXTURES
 
 BAND_ARGS = ["--floor", "0.256", "--ceiling", "2.600"]
@@ -477,3 +488,56 @@ def test_render_report_matches_json_dumps_indent(stephold_trace, include_bids):
     assert report.warnings  # a non-empty list of strings is covered too
     expected = json.dumps(report_to_obj(report, include_bids), indent=2) + "\n"
     assert render_report(report, "json", include_bids) == expected
+
+
+# Stamps anywhere in years 1-9999 and prices the C encoder writes in
+# every form, with labels that need escaping.
+TRACE_COLUMNS = st.lists(
+    st.tuples(
+        st.integers(min_value=-62135596800, max_value=253402300799),
+        st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, 5e-324]),
+    ),
+    max_size=12,
+)
+
+
+@given(TRACE_COLUMNS, JSON_TEXT)
+@example([], "")
+@example([(0, 1.0), (86399, math.nan), (86400, -math.inf)], 'a "quoted"\nlabel \u00e9')
+def test_trace_to_json_matches_json_dumps_indent(rows, label):
+    trace = sb.PriceTrace(
+        tuple(stamp for stamp, _ in rows),
+        tuple(price for _, price in rows),
+        instance_type=label,
+        zone="us-east-1b",
+    )
+    obj = {
+        "instance_type": label,
+        "product": "",
+        "zone": "us-east-1b",
+        "points": [
+            {"timestamp": sb.format_timestamp(stamp), "price": price}
+            for stamp, price in rows
+        ],
+    }
+    assert trace_to_json(trace) == json.dumps(obj, indent=2) + "\n"
+
+
+def test_import_leaves_concurrent_futures_unloaded():
+    # Only --parallel uses a thread pool; plain runs do not pay its import.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = "import sys, spotbid.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_all_names_the_imported_public_api():
+    assert sb.__all__[-1] == "__version__"
+    assert all(not isinstance(getattr(sb, name), type(sb)) for name in sb.__all__)
+    assert {"PriceTrace", "format_timestamp", "backtest", "DataError"} <= set(sb.__all__)
+    assert not {"PricePoint", "trace", "engine"} & set(sb.__all__)

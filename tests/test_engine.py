@@ -88,7 +88,7 @@ def test_backtest_requires_specs(band):
 
 def test_backtest_validates_trace(band):
     with pytest.raises(sb.DataError):
-        sb.backtest(sb.PriceTrace(points=()), specs_for(sb.StrategyKind.ONDEMAND), band)
+        sb.backtest(sb.PriceTrace((), ()), specs_for(sb.StrategyKind.ONDEMAND), band)
 
 
 def test_positive_gains_need_opt_in(band):

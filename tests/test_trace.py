@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spotbid as sb
-from conftest import EPOCH, FIXTURES, make_trace
+from conftest import EPOCH, FIXTURES, UNIX_EPOCH, epoch_seconds, make_trace
 
 CSV_TWO_ROWS = b"timestamp,price\n2015-05-03T00:20:06Z,0.256\n2015-05-03T01:00:00Z,0.300\n"
 
@@ -19,8 +19,8 @@ def test_parse_csv_basic():
     trace = sb.parse_csv(CSV_TWO_ROWS)
     assert len(trace) == 2
     assert trace.prices() == (0.256, 0.300)
-    assert trace.points[0].timestamp == datetime(
-        2015, 5, 3, 0, 20, 6, tzinfo=timezone.utc
+    assert trace.stamps[0] == epoch_seconds(
+        datetime(2015, 5, 3, 0, 20, 6, tzinfo=timezone.utc)
     )
     assert trace.instance_type == ""
 
@@ -32,8 +32,8 @@ def test_parse_csv_accepts_crlf_and_bom():
 
 def test_parse_csv_accepts_utc_offset_form():
     trace = sb.parse_csv(b"timestamp,price\n2015-05-03T02:20:06+02:00,1.5\n")
-    assert trace.points[0].timestamp == datetime(
-        2015, 5, 3, 0, 20, 6, tzinfo=timezone.utc
+    assert trace.stamps[0] == epoch_seconds(
+        datetime(2015, 5, 3, 0, 20, 6, tzinfo=timezone.utc)
     )
 
 
@@ -64,7 +64,10 @@ def test_parse_csv_errors():
 
 
 def reference_parse_csv(raw: bytes) -> sb.PriceTrace:
-    """parse_csv as a plain loop that runs the row helpers on every row."""
+    """parse_csv as a plain loop that runs the row helpers on every row.
+
+    It keeps the helpers' datetimes and converts them to seconds at the end.
+    """
     text = raw.decode("utf-8").lstrip("\ufeff")
     rows = csv.reader(io.StringIO(text))
     header = next(rows, None)
@@ -81,10 +84,13 @@ def reference_parse_csv(raw: bytes) -> sb.PriceTrace:
         where = f"line {line_no}"
         ts = sb.trace._parse_timestamp(row[0], where)
         price = sb.trace._parse_price(row[1], where)
-        points.append(sb.PricePoint(timestamp=ts, price=price))
+        points.append((ts, price))
     if not points:
         raise sb.DataError("empty body: no data rows after the header")
-    return sb.PriceTrace(points=tuple(points))
+    return sb.PriceTrace(
+        tuple(epoch_seconds(ts) for ts, _ in points),
+        tuple(price for _, price in points),
+    )
 
 
 # Rows parse_csv accepts: any offset, Z or z, whole seconds, padded fields,
@@ -134,7 +140,7 @@ CSV_ODD_ROW = st.sampled_from(
 
 def _parse_outcome(parse, raw):
     try:
-        return repr(parse(raw).points)  # repr tells -0.0 and tzinfo apart
+        return repr(parse(raw))  # both columns; repr tells -0.0 and int stamps apart
     except sb.DataError as exc:
         return f"DataError: {exc}"
 
@@ -175,17 +181,74 @@ def _padded_strftime(ts: datetime) -> str:
 @example(datetime(1000, 1, 1, 4, 59, 59, tzinfo=timezone(timedelta(hours=5))))
 @example(datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=timezone(timedelta(0))))
 def test_format_timestamp_matches_padded_strftime(ts):
-    assert sb.format_timestamp(ts) == _padded_strftime(ts)
+    assert sb.format_timestamp(epoch_seconds(ts)) == _padded_strftime(ts)
+
+
+FIRST_STAMP = epoch_seconds(datetime(1, 1, 1, tzinfo=timezone.utc))
+LAST_STAMP = epoch_seconds(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc))
+
+
+def _timedelta_format(stamp: int) -> str:
+    return (UNIX_EPOCH + timedelta(seconds=stamp)).isoformat()[:19] + "Z"
+
+
+@given(st.integers(min_value=FIRST_STAMP, max_value=LAST_STAMP))
+@example(FIRST_STAMP)  # 0001-01-01T00:00:00Z
+@example(LAST_STAMP)  # 9999-12-31T23:59:59Z
+@example(-1)
+@example(-86400)  # midnight before the epoch
+@example(-86401)
+@example(0)
+@example(86399)
+@example(epoch_seconds(datetime(1000, 1, 1, tzinfo=timezone.utc)))
+def test_format_timestamp_matches_timedelta_formula(stamp):
+    assert sb.format_timestamp(stamp) == _timedelta_format(stamp)
+
+
+def test_format_timestamp_rejects_years_outside_1_to_9999():
+    for stamp in (FIRST_STAMP - 1, LAST_STAMP + 1):
+        with pytest.raises(ValueError):
+            sb.format_timestamp(stamp)
+
+
+def test_to_csv_stamps_across_day_and_year_boundaries():
+    # Runs of stamps inside one day, then across midnights, the epoch and the
+    # year 999/1000 boundary, where the cached date text must change.
+    anchors = [
+        datetime(999, 12, 31, 23, 59, 58, tzinfo=timezone.utc),
+        datetime(1969, 12, 31, 23, 59, 59, tzinfo=timezone.utc),
+        datetime(2020, 2, 28, 23, 0, 0, tzinfo=timezone.utc),
+    ]
+    stamps = tuple(
+        epoch_seconds(anchor) + offset
+        for anchor in anchors
+        for offset in (0, 1, 2, 3, 3600, 86399, 86400, 86402)
+    )
+    trace = sb.PriceTrace(stamps, tuple(1.0 + i for i in range(len(stamps))))
+    lines = sb.to_csv(trace).splitlines()
+    assert lines[1:] == [
+        f"{_timedelta_format(stamp)},{price!r}"
+        for stamp, price in zip(stamps, trace.prices())
+    ]
+    assert lines[2:5] == [
+        "0999-12-31T23:59:59Z,2.0",
+        "1000-01-01T00:00:00Z,3.0",
+        "1000-01-01T00:00:01Z,4.0",
+    ]
+    assert sb.parse_csv(sb.to_csv(trace)) == trace
 
 
 def test_csv_round_trip_years_before_1000():
-    points = (
-        sb.PricePoint(datetime(1, 1, 1, tzinfo=timezone.utc), 1.0),
-        sb.PricePoint(datetime(999, 1, 1, tzinfo=timezone.utc), 1.5),
+    trace = sb.PriceTrace(
+        (
+            epoch_seconds(datetime(1, 1, 1, tzinfo=timezone.utc)),
+            epoch_seconds(datetime(999, 1, 1, tzinfo=timezone.utc)),
+        ),
+        (1.0, 1.5),
     )
-    text = sb.to_csv(sb.PriceTrace(points=points))
+    text = sb.to_csv(trace)
     assert text.splitlines()[1:] == ["0001-01-01T00:00:00Z,1.0", "0999-01-01T00:00:00Z,1.5"]
-    assert sb.parse_csv(text).points == points
+    assert sb.parse_csv(text) == trace
 
 
 def test_csv_round_trip_fixture():
@@ -212,21 +275,12 @@ def test_validate_identity(band):
 
 def test_validate_errors():
     with pytest.raises(sb.DataError, match="empty"):
-        sb.validate(sb.PriceTrace(points=()))
-    dup = sb.PriceTrace(
-        points=(
-            sb.PricePoint(EPOCH, 1.0),
-            sb.PricePoint(EPOCH, 1.1),
-        )
-    )
+        sb.validate(sb.PriceTrace((), ()))
+    start = epoch_seconds(EPOCH)
+    dup = sb.PriceTrace((start, start), (1.0, 1.1))
     with pytest.raises(sb.DataError, match="indices 0 and 1"):
         sb.validate(dup)
-    decreasing = sb.PriceTrace(
-        points=(
-            sb.PricePoint(EPOCH + timedelta(minutes=5), 1.0),
-            sb.PricePoint(EPOCH, 1.1),
-        )
-    )
+    decreasing = sb.PriceTrace((start + 300, start), (1.0, 1.1))
     with pytest.raises(sb.DataError, match="non-increasing"):
         sb.validate(decreasing)
     with pytest.raises(sb.DataError, match="index 1"):
@@ -323,7 +377,10 @@ def test_parse_aws_json_errors():
 def reference_parse_aws_json(
     raw: bytes, trace_filter: sb.TraceFilter = sb.TraceFilter()
 ) -> sb.PriceTrace:
-    """parse_aws_json as a plain loop that runs the record helpers on every record."""
+    """parse_aws_json as a plain loop that runs the record helpers on every record.
+
+    It keeps the helpers' datetimes and converts them to seconds at the end.
+    """
     doc = json.loads(raw)
     records = doc["SpotPriceHistory"] if isinstance(doc, dict) else doc
     kept = []
@@ -361,7 +418,8 @@ def reference_parse_aws_json(
 
     kept.sort(key=lambda item: item[0])
     return sb.PriceTrace(
-        points=tuple(sb.PricePoint(timestamp=ts, price=price) for ts, price, *_ in kept),
+        tuple(epoch_seconds(ts) for ts, *_ in kept),
+        tuple(price for _, price, *_ in kept),
         instance_type=trace_filter.instance_type or common([item[2] for item in kept]),
         product=trace_filter.product or common([item[3] for item in kept]),
         zone=trace_filter.zone or common([item[4] for item in kept]),
@@ -438,7 +496,7 @@ AWS_FILTERS = st.builds(
 
 def _aws_outcome(parse, raw, trace_filter):
     try:
-        return repr(parse(raw, trace_filter))  # points and the three labels
+        return repr(parse(raw, trace_filter))  # both columns and the three labels
     except sb.DataError as exc:
         return f"DataError: {exc}"
 
@@ -520,9 +578,9 @@ def test_synth_single_point(band):
 
 def test_synth_timestamps_minute_spaced(band):
     trace = sb.synth_step_hold(sb.SynthConfig(band=band, n_points=3, seed=1))
-    stamps = [pt.timestamp for pt in trace.points]
-    assert stamps[0] == datetime(2020, 1, 1, tzinfo=timezone.utc)
-    assert stamps[1] - stamps[0] == timedelta(minutes=1)
+    stamps = trace.stamps
+    assert stamps[0] == epoch_seconds(datetime(2020, 1, 1, tzinfo=timezone.utc))
+    assert stamps[1] - stamps[0] == 60
     assert trace.instance_type == "synthetic"
 
 
@@ -549,18 +607,29 @@ def test_stored_prices_match_points(band):
         ),
     ]
     for trace in traces:
-        assert trace.prices() == tuple(pt.price for pt in trace.points)
+        assert trace.prices() is trace.price_column
+        assert all(type(stamp) is int for stamp in trace.stamps)
+        assert all(type(price) is float for price in trace.prices())
+        assert trace.points == tuple(zip(trace.stamps, trace.prices()))
+        assert [(pt.timestamp, pt.price) for pt in trace.points] == list(
+            zip(trace.stamps, trace.prices())
+        )
 
 
 def test_stored_prices_leave_identity_unchanged():
     trace = make_trace([1.0, 2.0, 1.5], zone="z")
     twin = make_trace([1.0, 2.0, 1.5], zone="z")
     assert trace == twin
-    assert hash(trace) == hash(twin) == hash((trace.points, "", "", "z"))
+    assert hash(trace) == hash(twin) == hash(
+        (trace.stamps, trace.price_column, "", "", "z")
+    )
     assert repr(trace) == (
-        f"PriceTrace(points={trace.points!r}, instance_type='', product='', zone='z')"
+        f"PriceTrace(stamps={trace.stamps!r}, price_column={trace.price_column!r}, "
+        "instance_type='', product='', zone='z')"
     )
     assert trace != make_trace([1.0, 2.0, 1.25], zone="z")
+    assert trace != make_trace([1.0, 2.0, 1.5], spacing_minutes=2, zone="z")
+    assert trace != make_trace([1.0, 2.0, 1.5])
 
 
 def test_replaced_trace_rebuilds_prices():
@@ -568,5 +637,9 @@ def test_replaced_trace_rebuilds_prices():
     moved = dataclasses.replace(trace, zone="x")
     assert moved.zone == "x"
     assert moved.prices() == (1.0, 2.0, 1.5)
-    shorter = dataclasses.replace(trace, points=trace.points[1:])
+    assert moved.stamps == trace.stamps
+    shorter = dataclasses.replace(
+        trace, stamps=trace.stamps[1:], price_column=trace.price_column[1:]
+    )
     assert shorter.prices() == (2.0, 1.5)
+    assert len(shorter) == 2
