@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .band_model import PriceBand
 from .controller import PiGains
@@ -59,24 +60,6 @@ _LOG_LEVELS = {
 }
 
 _ALL_STRATEGIES = ",".join(kind.value for kind in StrategyKind)
-
-
-def _round_bids(bids: tuple[float, ...]) -> list[float]:
-    """[round(bid, 6) for bid in bids], rounding each run of repeats once.
-
-    Bids hold for long runs, and round(x, 6) converts through decimal on
-    every call.  Two equal nonzero doubles have identical bits, so a repeat
-    reuses the previous result; 0.0, -0.0 and NaN always go through round.
-    """
-    rounded: list[float] = []
-    append = rounded.append
-    last = value = math.nan
-    for bid in bids:
-        if bid != last or not bid:
-            last = bid
-            value = round(bid, 6)
-        append(value)
-    return rounded
 
 
 def _finite_float(text: str) -> float:
@@ -324,7 +307,20 @@ def _trace_obj(report: BacktestReport) -> dict[str, object]:
     }
 
 
-def report_to_obj(report: BacktestReport, include_bids: bool) -> dict[str, object]:
+def _rounded(bids: tuple[float, ...]) -> list[float]:
+    return [round(bid, 6) for bid in bids]
+
+
+def report_to_obj(
+    report: BacktestReport,
+    include_bids: bool,
+    bids_value: Callable[[tuple[float, ...]], object] = _rounded,
+) -> dict[str, object]:
+    """The JSON report as a value, with each bid rounded to 6 places.
+
+    render_report passes bids_value=_Bids, which _json writes as the same
+    text without building the rounded lists.
+    """
     strategies = []
     for result in report.results:
         entry: dict[str, object] = {
@@ -337,7 +333,7 @@ def report_to_obj(report: BacktestReport, include_bids: bool) -> dict[str, objec
             },
         }
         if include_bids:
-            entry["bids"] = _round_bids(result.series.bids)
+            entry["bids"] = bids_value(result.series.bids)
         strategies.append(entry)
     return {
         "trace": _trace_obj(report),
@@ -352,6 +348,46 @@ def report_to_obj(report: BacktestReport, include_bids: bool) -> dict[str, objec
     }
 
 
+class _Bids:
+    """A bid tuple that _json writes as the list _rounded(bids)."""
+
+    __slots__ = ("bids",)
+
+    def __init__(self, bids: tuple[float, ...]) -> None:
+        self.bids = bids
+
+
+def _bids_json(bids: tuple[float, ...], depth: int) -> str:
+    """The text _json(_rounded(bids), depth) gives, without round() per bid.
+
+    When every bid is finite and 1e-4 <= bid < 1e9, one C call formats all
+    of them as "%.6f", and the trailing zeros are stripped down to one "0"
+    after the point.  That is the text repr(round(bid, 6)) gives:
+    - "%.6f" and round(x, 6) both round the exact binary value of x half to
+      even at 6 places, so they reach the same decimal d.
+    - 1e-4 <= d <= 1e9, so d has at most 15 significant digits (9 before
+      the point and 6 after, or d = 1e9).  Decimals of at most 15
+      significant digits read back as distinct doubles, so no shorter text
+      reads back as round(x, 6), which is the double nearest d.
+    - repr writes that shortest text, in fixed notation because
+      1e-4 <= round(x, 6) < 1e16.
+    Any other tuple (empty, or holding a NaN, an infinity, a zero, a
+    subnormal, a negative or a bid of 1e9 or more) goes through round().
+    """
+    # min and max pass over a NaN after the first item, so isfinite goes first.
+    if bids and all(map(math.isfinite, bids)) and 1e-4 <= min(bids) and max(bids) < 1e9:
+        text = (
+            (("%.6f," * len(bids)) % bids)
+            .replace("0000,", ",")
+            .replace("00,", ",")
+            .replace("0,", ",")
+            .replace(".,", ".0,")
+        )
+        pad = "\n" + "  " * (depth + 1)
+        return "[" + pad + text[:-1].replace(",", "," + pad) + pad[:-2] + "]"
+    return _json(_rounded(bids), depth)
+
+
 def _json(value: object, depth: int = 0) -> str:
     """The text json.dumps(value, indent=2) gives, for str-keyed values.
 
@@ -363,6 +399,8 @@ def _json(value: object, depth: int = 0) -> str:
     float's text contains ", ", so the only ", " in the C output are the
     separators, which become the indented ",\\n".
     """
+    if type(value) is _Bids:
+        return _bids_json(value.bids, depth)
     pad = "\n" + "  " * (depth + 1)
     if isinstance(value, dict) and value:
         body = ("," + pad).join(
@@ -381,7 +419,7 @@ def _json(value: object, depth: int = 0) -> str:
 
 def render_report(report: BacktestReport, fmt: str, include_bids: bool) -> str:
     if fmt == "json":
-        return _json(report_to_obj(report, include_bids)) + "\n"
+        return _json(report_to_obj(report, include_bids, _Bids)) + "\n"
     lines = ["name,success_rate,distance,relative_rationality"]
     for result in report.results:
         m = result.metrics
@@ -456,19 +494,21 @@ def write_plot_data(report: BacktestReport, trace: PriceTrace, plot_dir: Path) -
     Trajectory rows pair bid_i with price p_i for i = 1..t; the trailing
     recommendation bid is excluded.
     """
-    plot_dir.mkdir(parents=True, exist_ok=True)
-    # The index, timestamp and price columns are the same for every strategy.
-    prefixes = [
-        f"{i},{text},{price:.6f},"
+    try:
+        plot_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create plot directory {plot_dir}: {exc}") from None
+    # The index, timestamp and price columns are the same for every strategy,
+    # so each trajectory is one %-format of its bids into this template.
+    template = "index,timestamp,spot_price,bid\n" + "".join(
+        f"{i},{text},{price:.6f},%.6f\n"
         for i, (text, price) in enumerate(
             zip(format_timestamps(trace.stamps), trace.prices()), start=1
         )
-    ]
+    )
     for result in report.results:
-        lines = ["index,timestamp,spot_price,bid"]
-        bids = result.series.bids
-        lines += [f"{prefix}{bid:.6f}" for prefix, bid in zip(prefixes, bids)]
-        _write_file(plot_dir / f"trajectory_{result.name}.csv", "\n".join(lines) + "\n")
+        text = template % result.series.bids[: len(trace)]
+        _write_file(plot_dir / f"trajectory_{result.name}.csv", text)
     lines = ["name,success_rate,relative_rationality"]
     for result in report.results:
         m = result.metrics

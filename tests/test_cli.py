@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,14 +13,14 @@ from hypothesis import strategies as st
 
 import spotbid as sb
 from spotbid.cli import (
+    _bids_json,
     _json,
-    _round_bids,
     main,
     render_report,
     report_to_obj,
     trace_to_json,
 )
-from conftest import FIXTURES
+from conftest import FIXTURES, make_trace
 
 BAND_ARGS = ["--floor", "0.256", "--ceiling", "2.600"]
 TRACE = str(FIXTURES / "stephold_1001.csv")
@@ -346,6 +347,17 @@ def test_plot_data_shape(tmp_path):
         assert (plot / f"trajectory_{name}.csv").read_bytes() == expected
 
 
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_plot_dir_that_cannot_be_created_is_data_error(tmp_path, capsys, below):
+    # A regular file, or a path below one, cannot become a directory.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    plot_dir = blocker / below if below else blocker
+    argv = ["backtest", "--trace", TRACE, *BAND_ARGS, "--plot-dir", str(plot_dir)]
+    assert run(argv + ["--out", str(tmp_path / "r.json")]) == 2
+    assert f"cannot create plot directory {plot_dir}" in capsys.readouterr().err
+
+
 def test_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run(
@@ -449,25 +461,98 @@ def test_json_writer_matches_json_dumps_indent(value):
     assert _json(value) == json.dumps(value, indent=2)
 
 
-# Runs of repeated bids, the case _round_bids shortcuts, among signed
-# zeros, NaN, infinities and values that round up or down.
-BID_RUNS = st.lists(
-    st.tuples(
-        st.floats()
-        | st.sampled_from(
-            [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 0.2500005, 1.0000004999]
-        ),
-        st.integers(1, 4),
-    ),
-    max_size=12,
-).map(lambda runs: tuple(bid for bid, count in runs for _ in range(count)))
+# Bids for the report writer's fast path (finite, 1e-4 <= bid < 1e9) and
+# for its round() fallback: both window edges and their neighbours, values
+# that round up to an edge, decimal halfway points k/1e6 + 5e-7, exact
+# binary ties n/128 (n odd), and the signed zeros, NaN, infinities,
+# subnormals, negatives and huge values the window leaves out.
+INSIDE_EDGES = [
+    1e-4,
+    math.nextafter(1e-4, math.inf),
+    math.nextafter(1e9, 0.0),
+    999999999.9999995,  # rounds up to 1e9
+    0.0078125,  # 2**-7, an exact tie at 6 places
+]
+OUTSIDE_EDGES = [
+    math.nextafter(1e-4, 0.0),
+    0.0000999995,  # rounds up to 1e-4
+    1e9,
+    math.nextafter(1e9, math.inf),
+]
+OUTSIDE_WINDOW = [
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, -1.5, 1e308
+]
+IN_WINDOW_BIDS = (
+    st.floats(min_value=1e-4, max_value=1e9, exclude_max=True)
+    | st.integers(100, 10**15 - 1).map(lambda k: k / 1e6 + 5e-7)
+    | st.integers(0, 6 * 10**10).map(lambda n: (2 * n + 1) / 128)
+    | st.sampled_from(INSIDE_EDGES + [0.256, 2.6])
+)
+# Values next to the window, each in a run among in-window values, tell
+# whether the window's bounds are the right ones.
+NEAR_WINDOW_BIDS = (
+    st.floats(min_value=1e-7, max_value=1e-4, exclude_max=True)
+    | st.floats(min_value=1e9, max_value=1e17)
+    | st.sampled_from(OUTSIDE_EDGES + OUTSIDE_WINDOW)
+)
 
 
-@given(BID_RUNS)
-@example((0.0, -0.0, -0.0, 0.0, math.nan, math.nan, math.inf, math.inf, -math.inf))
-@example((0.2500005, 0.2500005, 5e-324, 5e-324, -5e-324))
-def test_round_bids_matches_round(bids):
-    assert repr(_round_bids(bids)) == repr([round(bid, 6) for bid in bids])
+def bid_runs(values):
+    # Runs of repeated bids, as a held bid gives.
+    return st.lists(st.tuples(values, st.integers(1, 40)), max_size=8).map(
+        lambda runs: tuple(bid for bid, count in runs for _ in range(count))
+    )
+
+
+REPORT_BASE = sb.backtest(
+    make_trace([0.5, 1.0, 0.75]),
+    [
+        sb.StrategySpec(kind=sb.StrategyKind.ONDEMAND),
+        sb.StrategySpec(kind=sb.StrategyKind.HIGH),
+    ],
+    sb.PriceBand(floor=0.256, ceiling=2.600),
+    config_echo={"trace": 'a "quoted",\nname'},
+)
+
+
+@given(
+    bid_runs(IN_WINDOW_BIDS)
+    | bid_runs(IN_WINDOW_BIDS | NEAR_WINDOW_BIDS)
+    | bid_runs(st.floats())
+)
+@example(())
+@example(tuple(INSIDE_EDGES + OUTSIDE_EDGES))
+@example(tuple(INSIDE_EDGES))
+@example((1.0, math.nan, 2.0))  # a NaN after the first item
+@example((1.0, 5e-05))  # repr writes 5e-05
+@example((1.0, 123456789012.34567))  # repr writes 17 digits
+@example((1.0, math.inf, -math.inf, 0.0, -0.0, 5e-324, -1.5))
+@example((0.2500005,) * 50 + (1.0000004999,) * 50)
+@example(tuple(k / 1e6 + 5e-7 for k in range(100, 200)))
+def test_render_report_bids_match_json_dumps_indent(bids):
+    results = tuple(
+        replace(result, series=replace(result.series, bids=bids))
+        for result in REPORT_BASE.results
+    )
+    report = replace(REPORT_BASE, results=results)
+    expected = json.dumps(report_to_obj(report, True), indent=2) + "\n"
+    got = render_report(report, "json", True)
+    # Line by line, so that a failure's message stays short while
+    # hypothesis shrinks it.
+    for line, expected_line in zip(got.splitlines(True), expected.splitlines(True)):
+        assert line == expected_line
+    assert len(got) == len(expected)
+
+
+def test_bids_inside_window_skip_round(monkeypatch):
+    bids = tuple(INSIDE_EDGES) * 3
+    expected = json.dumps([round(bid, 6) for bid in bids], indent=2)
+
+    def no_round(bids):
+        raise AssertionError("round() path taken inside the window")
+
+    monkeypatch.setattr("spotbid.cli._rounded", no_round)
+    assert _bids_json(bids, 0) == expected
 
 
 @pytest.mark.parametrize("include_bids", [True, False])
