@@ -9,21 +9,23 @@ negative u approaches the ceiling, and u = 0 lands on the band midpoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class PriceBand:
+class PriceBand(namedtuple("PriceBand", "floor ceiling")):
     """Price floor and ceiling (USD/hour) bounding all rational bids.
 
     The floor is the lowest observed or reserved spot price; the ceiling is
     the on-demand price.
+
+    The package's records are named tuples.  Those with checks run them in
+    __new__, and route _make, which _replace builds with, back through it.
     """
 
-    floor: float
-    ceiling: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: object, **kwargs: object) -> PriceBand:
+        self = super().__new__(cls, *args, **kwargs)
         if not (math.isfinite(self.floor) and math.isfinite(self.ceiling)):
             raise ValueError("band floor and ceiling must be finite")
         if not 0 < self.floor < self.ceiling:
@@ -31,6 +33,9 @@ class PriceBand:
                 f"band requires 0 < floor < ceiling, got "
                 f"floor={self.floor}, ceiling={self.ceiling}"
             )
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def width(self) -> float:

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
-from typing import Callable
 
 from .band_model import PriceBand
 from .controller import PiGains
@@ -50,14 +49,9 @@ from .trace import (
     validate,
 )
 
-log = logging.getLogger("spotbid")
-
-_LOG_LEVELS = {
-    "error": logging.ERROR,
-    "warn": logging.WARNING,
-    "info": logging.INFO,
-    "debug": logging.DEBUG,
-}
+# logging's numeric levels, named as SPOTBID_LOG spells them.
+_LOG_LEVELS = {"error": 40, "warn": 30, "info": 20, "debug": 10}
+_log_level = _LOG_LEVELS["warn"]
 
 _ALL_STRATEGIES = ",".join(kind.value for kind in StrategyKind)
 
@@ -283,28 +277,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _spec_obj(spec: StrategySpec) -> dict[str, object]:
     return {
         "kind": spec.kind.value,
-        "gains": (
-            None
-            if spec.gains is None
-            else {"kp": spec.gains.kp, "ki": spec.gains.ki}
-        ),
-        "pre_delta": spec.adjustments.pre_delta,
-        "post_delta": spec.adjustments.post_delta,
+        "gains": None if spec.gains is None else spec.gains._asdict(),
+        **spec.adjustments._asdict(),
         "initial_bid": spec.initial_bid,
         "stat_mode": None if spec.stat_mode is None else spec.stat_mode.value,
     }
 
 
 def _trace_obj(report: BacktestReport) -> dict[str, object]:
-    meta = report.trace_meta
-    return {
-        "instance_type": meta.instance_type,
-        "product": meta.product,
-        "zone": meta.zone,
-        "start": meta.start,
-        "end": meta.end,
-        "points": meta.n_points,
-    }
+    obj = report.trace_meta._asdict()
+    obj["points"] = obj.pop("n_points")
+    return obj
 
 
 def _rounded(bids: tuple[float, ...]) -> list[float]:
@@ -327,9 +310,7 @@ def report_to_obj(
             "name": result.name,
             "spec": _spec_obj(result.series.spec),
             "metrics": {
-                "success_rate": round(result.metrics.success_rate, 6),
-                "distance": round(result.metrics.distance, 6),
-                "relative_rationality": round(result.metrics.relative_rationality, 6),
+                key: round(value, 6) for key, value in result.metrics._asdict().items()
             },
         }
         if include_bids:
@@ -337,7 +318,7 @@ def report_to_obj(
         strategies.append(entry)
     return {
         "trace": _trace_obj(report),
-        "band": {"floor": report.band.floor, "ceiling": report.band.ceiling},
+        "band": report.band._asdict(),
         "strategies": strategies,
         "relative_rationality_set": {
             name: round(rr, 6) for name, rr in report.rationality_set()
@@ -438,17 +419,14 @@ def render_sweep(
 ) -> str:
     if fmt == "json":
         obj = {
-            "band": {"floor": band.floor, "ceiling": band.ceiling},
+            "band": band._asdict(),
+            # Replacing a key keeps its place, so the field order stays.
             "points": [
                 {
-                    "kp": p.kp,
-                    "ki": p.ki,
-                    "pre_delta": p.pre_delta,
-                    "post_delta": p.post_delta,
+                    **p._asdict(),
                     "success_rate": round(p.success_rate, 6),
                     "distance": round(p.distance, 6),
                     "relative_rationality": round(p.relative_rationality, 6),
-                    "pareto_member": p.pareto_member,
                 }
                 for p in points
             ],
@@ -544,10 +522,10 @@ def _write_output(path_text: str | None, text: str) -> None:
 
 def _load_trace(args: argparse.Namespace) -> PriceTrace:
     if args.trace is not None:
-        log.info("parsing CSV trace %s", args.trace)
+        _log(20, "parsing CSV trace %s", args.trace)
         trace = parse_csv(_read_bytes(args.trace))
     else:
-        log.info("parsing spot-price-history JSON %s", args.aws_json)
+        _log(20, "parsing spot-price-history JSON %s", args.aws_json)
         trace_filter = TraceFilter(
             instance_type=args.instance_type,
             product=args.product,
@@ -608,7 +586,7 @@ def _build_specs(args: argparse.Namespace, band: PriceBand) -> list[StrategySpec
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     trace = _load_trace(args)
-    log.info("ingested %d points", len(trace))
+    _log(20, "ingested %d points", len(trace))
     text = to_csv(trace) if args.format == "csv" else trace_to_json(trace)
     _write_output(args.out, text)
     return 0
@@ -647,9 +625,10 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
         allow_positive_gains=args.allow_positive_gains,
         config_echo=config_echo,
     )
-    _write_output(args.out, render_report(report, args.format, include_bids))
+    # Plot data first: a run whose plot data fails leaves no report behind.
     if args.plot_dir is not None:
         write_plot_data(report, trace, Path(args.plot_dir))
+    _write_output(args.out, render_report(report, args.format, include_bids))
     return 0
 
 
@@ -703,16 +682,24 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------------- main
 
 
+def _log(level: int, msg: str, *args: object, exc_info: bool = False) -> None:
+    """Log to standard error through the "spotbid" logger.  Until something
+    imports logging, a record below the SPOTBID_LOG level is dropped here,
+    as the logger would drop it, so a default run never imports logging."""
+    if level >= _log_level or "logging" in sys.modules:
+        import logging
+
+        logging.basicConfig(level=_log_level, stream=sys.stderr,
+                            format="%(levelname)s %(name)s: %(message)s")
+        logging.getLogger("spotbid").log(level, msg, *args, exc_info=exc_info)
+
+
 def _configure_logging() -> None:
+    global _log_level
     raw = os.environ.get("SPOTBID_LOG", "warn").strip().lower()
-    level = _LOG_LEVELS.get(raw)
-    logging.basicConfig(
-        level=level if level is not None else logging.WARNING,
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    if raw and level is None:
-        log.warning("unknown SPOTBID_LOG level %r; using warn", raw)
+    _log_level = _LOG_LEVELS.get(raw, _LOG_LEVELS["warn"])
+    if raw and raw not in _LOG_LEVELS:
+        _log(30, "unknown SPOTBID_LOG level %r; using warn", raw)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -731,7 +718,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
-        log.debug("internal error", exc_info=True)
+        _log(10, "internal error", exc_info=True)
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -9,14 +9,13 @@ turns into a higher corrective bid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .band_model import PriceBand
 from .errors import DataError
 
 
-@dataclass(frozen=True)
-class PiGains:
+class PiGains(namedtuple("PiGains", "kp ki")):
     """Proportional and integral gains (kp, ki), dimensionless per USD.
 
     Corrective behaviour requires kp < 0 and ki < 0.  Sign validation lives
@@ -24,20 +23,23 @@ class PiGains:
     explicit positive-gains escape hatch stays constructible.
     """
 
-    kp: float
-    ki: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: object, **kwargs: object) -> PiGains:
+        self = super().__new__(cls, *args, **kwargs)
         if not (math.isfinite(self.kp) and math.isfinite(self.ki)):
             raise ValueError(f"gains must be finite, got kp={self.kp}, ki={self.ki}")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass(frozen=True)
-class ControllerState:
+class ControllerState(namedtuple(
+    "ControllerState", "error_sum last_error", defaults=(0.0, 0.0)
+)):
     """Accumulated error sum and the most recent error, both in USD."""
 
-    error_sum: float = 0.0
-    last_error: float = 0.0
+    __slots__ = ()
 
 
 def step(

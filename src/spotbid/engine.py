@@ -8,9 +8,9 @@ identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from itertools import product
-from typing import Callable, Sequence, TypeVar
 
 from . import metrics
 from .band_model import PriceBand
@@ -18,7 +18,6 @@ from .controller import PiGains
 from .errors import UsageError
 from .strategies import (
     Adjustments,
-    BidSeries,
     StrategyKind,
     StrategySpec,
     run_strategy,
@@ -28,97 +27,83 @@ from .trace import PriceTrace, format_timestamp, validate
 
 ENGINE_VERSION = "0.1.0"
 
-_T = TypeVar("_T")
-_R = TypeVar("_R")
 
-
-@dataclass(frozen=True)
-class TraceMeta:
+class TraceMeta(namedtuple(
+    "TraceMeta", "instance_type product zone start end n_points"
+)):
     """Trace identification echoed into reports."""
 
-    instance_type: str
-    product: str
-    zone: str
-    start: str
-    end: str
-    n_points: int
+    __slots__ = ()
 
     @classmethod
-    def from_trace(cls, trace: PriceTrace) -> "TraceMeta":
-        return cls(
-            instance_type=trace.instance_type,
-            product=trace.product,
-            zone=trace.zone,
-            start=format_timestamp(trace.stamps[0]),
-            end=format_timestamp(trace.stamps[-1]),
-            n_points=len(trace),
-        )
+    def from_trace(cls, trace: PriceTrace) -> TraceMeta:
+        start, end = map(format_timestamp, (trace.stamps[0], trace.stamps[-1]))
+        return cls(trace.instance_type, trace.product, trace.zone, start, end, len(trace))
 
 
-@dataclass(frozen=True)
-class StrategyResult:
-    name: str
-    series: BidSeries
-    metrics: metrics.MetricsSummary
+class StrategyResult(namedtuple("StrategyResult", "name series metrics")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BacktestReport:
-    trace_meta: TraceMeta
-    band: PriceBand
-    results: tuple[StrategyResult, ...]
-    engine_version: str = ENGINE_VERSION
-    config_echo: dict[str, object] = field(default_factory=dict)
-    warnings: tuple[str, ...] = ()
+class BacktestReport(namedtuple(
+    "BacktestReport", "trace_meta band results engine_version config_echo warnings",
+    defaults=(ENGINE_VERSION, None, ()),
+)):
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> BacktestReport:
+        self = super().__new__(cls, *args, **kwargs)
+        if self.config_echo is None:  # a new empty dict for each report
+            self = super().__new__(cls, *self[:4], {}, self.warnings)
+        return self
 
     def rationality_set(self) -> list[tuple[str, float]]:
         return [(r.name, r.metrics.relative_rationality) for r in self.results]
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(namedtuple(
+    "SweepConfig",
+    "band kp_magnitudes ki_magnitudes pre_deltas post_deltas initial_bid",
+    defaults=((0.0,), (0.0,), None),
+)):
     """Grid over feedback gains and adjustments.
 
-    Magnitudes are positive; the applied gains are their negations.
+    Magnitudes are positive; the applied gains are their negations.  The
+    four grids may be any iterables; they are kept as tuples.
     """
 
-    band: PriceBand
-    kp_magnitudes: tuple[float, ...]
-    ki_magnitudes: tuple[float, ...]
-    pre_deltas: tuple[float, ...] = (0.0,)
-    post_deltas: tuple[float, ...] = (0.0,)
-    initial_bid: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for label in ("kp_magnitudes", "ki_magnitudes", "pre_deltas", "post_deltas"):
-            values = tuple(getattr(self, label))
-            object.__setattr__(self, label, values)
+    def __new__(cls, *args: object, **kwargs: object) -> SweepConfig:
+        self = super().__new__(cls, *args, **kwargs)
+        grids = []
+        for label, values in zip(cls._fields[1:5], self[1:5]):
+            values = tuple(values)
+            grids.append(values)
             if not values:
                 raise ValueError(f"{label} must be nonempty")
             if not all(math.isfinite(v) for v in values):
                 raise ValueError(f"{label} must be finite, got {values}")
-        for label in ("kp_magnitudes", "ki_magnitudes"):
-            if not all(v > 0 for v in getattr(self, label)):
+        for label, values in zip(cls._fields[1:3], grids):
+            if not all(v > 0 for v in values):
                 raise ValueError(f"{label} must be positive magnitudes")
+        return super().__new__(cls, self.band, *grids, self.initial_bid)
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(namedtuple(
+    "SweepPoint",
+    "kp ki pre_delta post_delta success_rate distance relative_rationality "
+    "pareto_member",
+    defaults=(None, False),
+)):
     """One grid cell: the applied (negative) gains, deltas, and scores."""
 
-    kp: float
-    ki: float
-    pre_delta: float
-    post_delta: float
-    success_rate: float
-    distance: float
-    relative_rationality: float | None = None
-    pareto_member: bool = False
+    __slots__ = ()
 
 
-def _ordered_map(
-    fn: Callable[[_T], _R], items: Sequence[_T], parallel: bool
-) -> list[_R]:
+def _ordered_map(fn: Callable, items: Sequence, parallel: bool) -> list:
     # ThreadPoolExecutor.map preserves input order, keeping parallel output
     # identical to serial.  Imported here so that only --parallel pays for it.
     if parallel and len(items) > 1:
@@ -170,8 +155,8 @@ def backtest(
     results = tuple(
         StrategyResult(
             name=name,
-            series=replace(series, strategy_name=name),
-            metrics=replace(summary, relative_rationality=rr),
+            series=series._replace(strategy_name=name),
+            metrics=summary._replace(relative_rationality=rr),
         )
         for name, series, summary, (_, rr) in zip(
             names, series_list, summaries, rationality
@@ -236,19 +221,10 @@ def sweep(
             for (kp, ki, pre, post), summary in zip(cells, summaries)
         ]
     )
+    # A cell is (kp, ki, pre_delta, post_delta), SweepPoint's first fields.
     points = [
-        SweepPoint(
-            kp=kp,
-            ki=ki,
-            pre_delta=pre,
-            post_delta=post,
-            success_rate=summary.success_rate,
-            distance=summary.distance,
-            relative_rationality=rr,
-        )
-        for (kp, ki, pre, post), summary, (_, rr) in zip(
-            cells, summaries, rationality
-        )
+        SweepPoint(*cell, summary.success_rate, summary.distance, rr)
+        for cell, summary, (_, rr) in zip(cells, summaries, rationality)
     ]
     return pareto(points)
 
@@ -285,4 +261,4 @@ def pareto_flags(points: Sequence[tuple[float, float]]) -> list[bool]:
 def pareto(points: Sequence[SweepPoint]) -> list[SweepPoint]:
     """Return the points with pareto_member set from (sr, d) domination."""
     flags = pareto_flags([(p.success_rate, p.distance) for p in points])
-    return [replace(p, pareto_member=flag) for p, flag in zip(points, flags)]
+    return [p._replace(pareto_member=flag) for p, flag in zip(points, flags)]

@@ -6,16 +6,17 @@ recommendation bid has no realized price and is never scored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import DataError
 from .strategies import BidSeries
 from .trace import PriceTrace
 
 
-@dataclass(frozen=True)
-class MetricsSummary:
+class MetricsSummary(namedtuple(
+    "MetricsSummary", "success_rate distance relative_rationality", defaults=(None,)
+)):
     """Per-strategy scores.
 
     success_rate is the 0-1 fraction of steps where the standing bid met or
@@ -24,9 +25,7 @@ class MetricsSummary:
     within a comparison set, where the smallest-distance strategy scores 1.
     """
 
-    success_rate: float
-    distance: float
-    relative_rationality: float | None = None
+    __slots__ = ()
 
 
 def score(series: BidSeries, trace: PriceTrace) -> MetricsSummary:

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import accumulate, count
 from operator import truediv
 
 from .band_model import PriceBand
-from .controller import PiGains
 from .errors import DataError, UsageError
 from .trace import PriceTrace, format_timestamp
 
@@ -55,24 +54,30 @@ class StatMode(enum.Enum):
 STAT_KINDS = frozenset({StrategyKind.MINIMUM, StrategyKind.MEAN, StrategyKind.HIGH})
 
 
-@dataclass(frozen=True)
-class Adjustments:
+class Adjustments(namedtuple(
+    "Adjustments", "pre_delta post_delta", defaults=(0.0, 0.0)
+)):
     """Bid biases: pre_delta shifts each reference price before the
     controller sees it, post_delta shifts each emitted bid."""
 
-    pre_delta: float = 0.0
-    post_delta: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: object, **kwargs: object) -> Adjustments:
+        self = super().__new__(cls, *args, **kwargs)
         if not (math.isfinite(self.pre_delta) and math.isfinite(self.post_delta)):
             raise ValueError(
                 f"adjustments must be finite, got pre_delta={self.pre_delta}, "
                 f"post_delta={self.post_delta}"
             )
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass(frozen=True)
-class StrategySpec:
+class StrategySpec(namedtuple(
+    "StrategySpec", "kind gains adjustments initial_bid stat_mode",
+    defaults=(None, Adjustments(), None, None),
+)):
     """A configured strategy.
 
     gains are required for feedback and forbidden elsewhere; stat_mode
@@ -80,13 +85,10 @@ class StrategySpec:
     None means the default, half the band ceiling, resolved at run time.
     """
 
-    kind: StrategyKind
-    gains: PiGains | None = None
-    adjustments: Adjustments = field(default_factory=Adjustments)
-    initial_bid: float | None = None
-    stat_mode: StatMode | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: object, **kwargs: object) -> StrategySpec:
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind is StrategyKind.FEEDBACK:
             if self.gains is None:
                 raise ValueError("feedback strategy requires gains")
@@ -94,15 +96,17 @@ class StrategySpec:
             raise ValueError(f"{self.kind.value} strategy takes no gains")
         if self.kind in STAT_KINDS:
             if self.stat_mode is None:
-                object.__setattr__(self, "stat_mode", StatMode.CAUSAL)
+                self = super().__new__(cls, *self[:4], StatMode.CAUSAL)
         elif self.stat_mode is not None:
             raise ValueError(f"{self.kind.value} strategy takes no stat_mode")
         if self.initial_bid is not None and not math.isfinite(self.initial_bid):
             raise ValueError(f"initial_bid must be finite, got {self.initial_bid}")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass(frozen=True)
-class BidSeries:
+class BidSeries(namedtuple("BidSeries", "strategy_name bids spec")):
     """A strategy's bid trajectory: t+1 bids for a t-point trace.
 
     bids[-1] is emitted after the last observed price and never meets a
@@ -110,9 +114,7 @@ class BidSeries:
     scoring.
     """
 
-    strategy_name: str
-    bids: tuple[float, ...]
-    spec: StrategySpec
+    __slots__ = ()
 
 
 def initial_bid_default(band: PriceBand) -> float:

@@ -19,10 +19,9 @@ import json
 import math
 import random
 from collections import namedtuple
-from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from itertools import islice
-from operator import itemgetter, lt
+from operator import attrgetter, itemgetter, lt
 
 from .band_model import PriceBand
 from .errors import DataError
@@ -45,20 +44,44 @@ _AWS_FIELDS = (
 TracePoint = namedtuple("TracePoint", ("timestamp", "price"))
 
 
-@dataclass(frozen=True)
 class PriceTrace:
     """Ordered spot-price observations plus market metadata labels.
 
     stamps holds each instant as UTC epoch seconds, price_column the price
-    observed at it.  ==, hash and repr come from the two columns and the
-    three labels.
+    observed at it.  The five fields are read-only; ==, hash, repr and
+    pickling follow them.  Not a named tuple: len() counts the points.
     """
 
-    stamps: tuple[int, ...]
-    price_column: tuple[float, ...]
-    instance_type: str = ""
-    product: str = ""
-    zone: str = ""
+    __slots__ = ("stamps", "price_column", "instance_type", "product", "zone")
+    _values = property(attrgetter(*__slots__))
+
+    def __init__(
+        self, stamps: tuple[int, ...], price_column: tuple[float, ...],
+        instance_type: str = "", product: str = "", zone: str = "",
+    ) -> None:
+        values = (stamps, price_column, instance_type, product, zone)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _read_only(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self.__slots__, self._values)
+        return f"PriceTrace({', '.join(fields)})"
+
+    def __reduce__(self) -> tuple:
+        return PriceTrace, self._values
 
     def __len__(self) -> int:
         return len(self.stamps)
@@ -72,26 +95,29 @@ class PriceTrace:
         return tuple(map(TracePoint, self.stamps, self.price_column))
 
 
-@dataclass(frozen=True)
-class TraceFilter:
+class TraceFilter(namedtuple(
+    "TraceFilter", "instance_type product zone time_range", defaults=(None,) * 4
+)):
     """Record selection for the JSON parser; absent fields match everything."""
 
-    instance_type: str | None = None
-    product: str | None = None
-    zone: str | None = None
-    time_range: tuple[datetime, datetime] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: object, **kwargs: object) -> TraceFilter:
+        self = super().__new__(cls, *args, **kwargs)
         if self.time_range is not None:
             start, end = self.time_range
             if start.tzinfo is None or end.tzinfo is None:
                 raise ValueError("time_range bounds must be timezone-aware")
             if start > end:
                 raise ValueError(f"time_range start {start} after end {end}")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(namedtuple(
+    "SynthConfig", "band n_points hold_steps_mean step_scale seed", defaults=(1, 0.1, 0)
+)):
     """Parameters for the step-hold synthetic generator.
 
     The price path holds each level for a geometrically distributed number
@@ -99,16 +125,13 @@ class SynthConfig:
     [-step_scale, +step_scale], clamped into the band.
     """
 
-    band: PriceBand
-    n_points: int
-    hold_steps_mean: int = 1
-    step_scale: float = 0.1
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: object, **kwargs: object) -> SynthConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.band, PriceBand):
             # accept a bare (floor, ceiling) pair
-            object.__setattr__(self, "band", PriceBand(*self.band))
+            self = super().__new__(cls, PriceBand(*self.band), *self[1:])
         if self.n_points < 1:
             raise ValueError(f"n_points must be >= 1, got {self.n_points}")
         if self.hold_steps_mean < 1:
@@ -131,6 +154,9 @@ class SynthConfig:
             raise ValueError(f"step_scale must be > 0, got {self.step_scale}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 def _decode(raw: bytes | str) -> str:

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -356,6 +355,8 @@ def test_plot_dir_that_cannot_be_created_is_data_error(tmp_path, capsys, below):
     argv = ["backtest", "--trace", TRACE, *BAND_ARGS, "--plot-dir", str(plot_dir)]
     assert run(argv + ["--out", str(tmp_path / "r.json")]) == 2
     assert f"cannot create plot directory {plot_dir}" in capsys.readouterr().err
+    # A failed run leaves no report behind that looks like a success.
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_sweep_csv(tmp_path):
@@ -428,6 +429,50 @@ def test_log_level_env(tmp_path, monkeypatch, capsys):
     assert run(["ingest", "--trace", TRACE, "--out", str(tmp_path / "t.csv")]) == 0
     monkeypatch.setenv("SPOTBID_LOG", "bogus")
     assert run(["ingest", "--trace", TRACE, "--out", str(tmp_path / "t2.csv")]) == 0
+
+
+def cli_env(**overrides):
+    """The environment with src first on PYTHONPATH, SPOTBID_LOG unset,
+    then the overrides."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env.pop("SPOTBID_LOG", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    env.update(overrides)
+    return env
+
+
+INFO_LINES = (
+    f"INFO spotbid: parsing CSV trace {TRACE}\n"
+    "INFO spotbid: ingested 1001 points\n"
+)
+
+
+# basicConfig keeps the first configuration a process makes, so each value
+# gets a process of its own.
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (None, ""),
+        ("warn", ""),
+        ("error", ""),
+        ("", ""),
+        ("info", INFO_LINES),
+        (" INFO ", INFO_LINES),
+        ("debug", INFO_LINES),
+        ("bogus", "WARNING spotbid: unknown SPOTBID_LOG level 'bogus'; using warn\n"),
+    ],
+)
+def test_log_level_env_output(tmp_path, value, expected):
+    env = cli_env() if value is None else cli_env(SPOTBID_LOG=value)
+    out = tmp_path / "t.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "spotbid.cli", "ingest", "--trace", TRACE, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == expected
+    assert out.read_bytes() == (FIXTURES / "stephold_1001.csv").read_bytes()
 
 
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, 5e-324, 1e16, 0.1]
@@ -531,10 +576,10 @@ REPORT_BASE = sb.backtest(
 @example(tuple(k / 1e6 + 5e-7 for k in range(100, 200)))
 def test_render_report_bids_match_json_dumps_indent(bids):
     results = tuple(
-        replace(result, series=replace(result.series, bids=bids))
+        result._replace(series=result.series._replace(bids=bids))
         for result in REPORT_BASE.results
     )
-    report = replace(REPORT_BASE, results=results)
+    report = REPORT_BASE._replace(results=results)
     expected = json.dumps(report_to_obj(report, True), indent=2) + "\n"
     got = render_report(report, "json", True)
     # Line by line, so that a failure's message stays short while
@@ -608,17 +653,28 @@ def test_trace_to_json_matches_json_dumps_indent(rows, label):
     assert trace_to_json(trace) == json.dumps(obj, indent=2) + "\n"
 
 
-def test_import_leaves_concurrent_futures_unloaded():
-    # Only --parallel uses a thread pool; plain runs do not pay its import.
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    code = "import sys, spotbid.cli; print('concurrent.futures' in sys.modules)"
+def test_import_leaves_concurrent_futures_unloaded(tmp_path):
+    # Only --parallel uses a thread pool, and only a log record needs
+    # logging; plain runs pay for neither import, nor for dataclasses and
+    # the inspect module it pulls in.  typing, pathlib and random are not
+    # checked: site may import them before spotbid loads.
+    code = (
+        "import sys, spotbid.cli\n"
+        "unwanted = ['concurrent.futures', 'dataclasses', 'inspect', 'logging']\n"
+        "print([name for name in unwanted if name in sys.modules])\n"
+        "code = spotbid.cli.main(sys.argv[1:])\n"
+        "print([name for name in unwanted if name in sys.modules], code)\n"
+    )
+    argv = [
+        "sweep", "--trace", TRACE, *BAND_ARGS, "--kp", "1,10", "--ki", "1,10",
+        "--out", str(tmp_path / "s.json"),
+    ]
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, env=cli_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout == "[]\n[] 0\n"
 
 
 def test_all_names_the_imported_public_api():

@@ -1,6 +1,5 @@
 """Trace ingestion, validation, serialization, and synthesis."""
 import csv
-import dataclasses
 import io
 import json
 from datetime import datetime, timedelta, timezone
@@ -634,12 +633,10 @@ def test_stored_prices_leave_identity_unchanged():
 
 def test_replaced_trace_rebuilds_prices():
     trace = make_trace([1.0, 2.0, 1.5])
-    moved = dataclasses.replace(trace, zone="x")
+    moved = sb.PriceTrace(trace.stamps, trace.price_column, zone="x")
     assert moved.zone == "x"
     assert moved.prices() == (1.0, 2.0, 1.5)
     assert moved.stamps == trace.stamps
-    shorter = dataclasses.replace(
-        trace, stamps=trace.stamps[1:], price_column=trace.price_column[1:]
-    )
+    shorter = sb.PriceTrace(trace.stamps[1:], trace.price_column[1:])
     assert shorter.prices() == (2.0, 1.5)
     assert len(shorter) == 2
