@@ -522,10 +522,10 @@ def _write_output(path_text: str | None, text: str) -> None:
 
 def _load_trace(args: argparse.Namespace) -> PriceTrace:
     if args.trace is not None:
-        _log(20, "parsing CSV trace %s", args.trace)
+        _log(_LOG_LEVELS["info"], "parsing CSV trace %s", args.trace)
         trace = parse_csv(_read_bytes(args.trace))
     else:
-        _log(20, "parsing spot-price-history JSON %s", args.aws_json)
+        _log(_LOG_LEVELS["info"], "parsing spot-price-history JSON %s", args.aws_json)
         trace_filter = TraceFilter(
             instance_type=args.instance_type,
             product=args.product,
@@ -586,7 +586,7 @@ def _build_specs(args: argparse.Namespace, band: PriceBand) -> list[StrategySpec
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     trace = _load_trace(args)
-    _log(20, "ingested %d points", len(trace))
+    _log(_LOG_LEVELS["info"], "ingested %d points", len(trace))
     text = to_csv(trace) if args.format == "csv" else trace_to_json(trace)
     _write_output(args.out, text)
     return 0
@@ -699,7 +699,7 @@ def _configure_logging() -> None:
     raw = os.environ.get("SPOTBID_LOG", "warn").strip().lower()
     _log_level = _LOG_LEVELS.get(raw, _LOG_LEVELS["warn"])
     if raw and raw not in _LOG_LEVELS:
-        _log(30, "unknown SPOTBID_LOG level %r; using warn", raw)
+        _log(_LOG_LEVELS["warn"], "unknown SPOTBID_LOG level %r; using warn", raw)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -718,7 +718,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
-        _log(10, "internal error", exc_info=True)
+        _log(_LOG_LEVELS["debug"], "internal error", exc_info=True)
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 
