@@ -17,7 +17,6 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from pathlib import Path
 
 from .band_model import PriceBand
 from .controller import PiGains
@@ -54,6 +53,12 @@ _LOG_LEVELS = {"error": 40, "warn": 30, "info": 20, "debug": 10}
 _log_level = _LOG_LEVELS["warn"]
 
 _ALL_STRATEGIES = ",".join(kind.value for kind in StrategyKind)
+
+# Namespace keys that cannot change the numbers: the subcommand, output
+# routing and execution details like --parallel.  config_echo leaves them
+# out so equivalent runs (serial or parallel, any destination) write
+# byte-identical reports.
+_NOT_ECHOED = frozenset(("command", "handler", "out", "format", "plot_dir", "parallel"))
 
 
 def _finite_float(text: str) -> float:
@@ -466,14 +471,14 @@ def trace_to_json(trace: PriceTrace) -> str:
     return f"{head}[\n{body}\n  ]\n}}\n"
 
 
-def write_plot_data(report: BacktestReport, trace: PriceTrace, plot_dir: Path) -> None:
+def write_plot_data(report: BacktestReport, trace: PriceTrace, plot_dir: str) -> None:
     """One trajectory CSV per strategy plus a comparison summary.
 
     Trajectory rows pair bid_i with price p_i for i = 1..t; the trailing
     recommendation bid is excluded.
     """
     try:
-        plot_dir.mkdir(parents=True, exist_ok=True)
+        os.makedirs(plot_dir, exist_ok=True)
     except OSError as exc:
         raise DataError(f"cannot create plot directory {plot_dir}: {exc}") from None
     # The index, timestamp and price columns are the same for every strategy,
@@ -486,14 +491,14 @@ def write_plot_data(report: BacktestReport, trace: PriceTrace, plot_dir: Path) -
     )
     for result in report.results:
         text = template % result.series.bids[: len(trace)]
-        _write_file(plot_dir / f"trajectory_{result.name}.csv", text)
+        _write_output(os.path.join(plot_dir, f"trajectory_{result.name}.csv"), text)
     lines = ["name,success_rate,relative_rationality"]
     for result in report.results:
         m = result.metrics
         lines.append(
             f"{result.name},{m.success_rate:.6f},{m.relative_rationality:.6f}"
         )
-    _write_file(plot_dir / "comparison.csv", "\n".join(lines) + "\n")
+    _write_output(os.path.join(plot_dir, "comparison.csv"), "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------- handlers
@@ -501,23 +506,21 @@ def write_plot_data(report: BacktestReport, trace: PriceTrace, plot_dir: Path) -
 
 def _read_bytes(path_text: str) -> bytes:
     try:
-        return Path(path_text).read_bytes()
+        with open(path_text, "rb") as file:
+            return file.read()
     except OSError as exc:
         raise DataError(f"cannot read {path_text}: {exc}") from None
 
 
-def _write_file(path: Path, text: str) -> None:
+def _write_output(path: str | None, text: str) -> None:
+    if path is None or path == "-":
+        sys.stdout.write(text)
+        return
     try:
-        path.write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as file:
+            file.write(text)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from None
-
-
-def _write_output(path_text: str | None, text: str) -> None:
-    if path_text is None or path_text == "-":
-        sys.stdout.write(text)
-    else:
-        _write_file(Path(path_text), text)
 
 
 def _load_trace(args: argparse.Namespace) -> PriceTrace:
@@ -542,17 +545,12 @@ def _band_from_args(args: argparse.Namespace) -> PriceBand:
         raise UsageError(str(exc)) from None
 
 
-def _input_echo(args: argparse.Namespace) -> dict[str, object]:
-    echo: dict[str, object] = {
-        "trace": args.trace,
-        "aws_json": args.aws_json,
-    }
-    for key in ("instance_type", "product", "zone"):
-        echo[key] = getattr(args, key)
-    return echo
+def _config_echo(args: argparse.Namespace) -> dict[str, object]:
+    """Every result-affecting flag, in the order the parser defines them."""
+    return {key: value for key, value in vars(args).items() if key not in _NOT_ECHOED}
 
 
-def _build_specs(args: argparse.Namespace, band: PriceBand) -> list[StrategySpec]:
+def _build_specs(args: argparse.Namespace) -> list[StrategySpec]:
     sign = 1.0 if args.allow_positive_gains else -1.0
     adjustments = Adjustments(pre_delta=args.pre_delta, post_delta=args.post_delta)
     specs = []
@@ -579,8 +577,6 @@ def _build_specs(args: argparse.Namespace, band: PriceBand) -> list[StrategySpec
                 stat_mode=stat_mode,
             )
         )
-    if not specs:
-        raise UsageError("empty strategy list")
     return specs
 
 
@@ -595,40 +591,22 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_backtest(args: argparse.Namespace) -> int:
     band = _band_from_args(args)
     trace = _load_trace(args)
-    specs = _build_specs(args, band)
-    include_bids = (
-        args.include_bids if args.include_bids is not None else len(trace) < 100_000
-    )
-    # Result-affecting options only: execution details like --parallel and
-    # output routing are excluded so serial/parallel runs stay byte-identical.
-    config_echo = _input_echo(args)
-    config_echo.update(
-        {
-            "floor": args.floor,
-            "ceiling": args.ceiling,
-            "strategies": args.strategies,
-            "kp": args.kp,
-            "ki": args.ki,
-            "pre_delta": args.pre_delta,
-            "post_delta": args.post_delta,
-            "mode": args.mode,
-            "initial_bid": args.initial_bid,
-            "include_bids": include_bids,
-            "allow_positive_gains": args.allow_positive_gains,
-        }
-    )
+    specs = _build_specs(args)
+    # Resolved in place, so config_echo records the value the run used.
+    if args.include_bids is None:
+        args.include_bids = len(trace) < 100_000
     report = backtest(
         trace,
         specs,
         band,
         parallel=args.parallel,
         allow_positive_gains=args.allow_positive_gains,
-        config_echo=config_echo,
+        config_echo=_config_echo(args),
     )
     # Plot data first: a run whose plot data fails leaves no report behind.
     if args.plot_dir is not None:
-        write_plot_data(report, trace, Path(args.plot_dir))
-    _write_output(args.out, render_report(report, args.format, include_bids))
+        write_plot_data(report, trace, args.plot_dir)
+    _write_output(args.out, render_report(report, args.format, args.include_bids))
     return 0
 
 
@@ -647,19 +625,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     points = sweep(trace, config, parallel=args.parallel)
-    config_echo = _input_echo(args)
-    config_echo.update(
-        {
-            "floor": args.floor,
-            "ceiling": args.ceiling,
-            "kp": list(args.kp),
-            "ki": list(args.ki),
-            "pre_delta": list(args.pre_delta),
-            "post_delta": list(args.post_delta),
-            "initial_bid": args.initial_bid,
-        }
-    )
-    _write_output(args.out, render_sweep(points, band, config_echo, args.format))
+    _write_output(args.out, render_sweep(points, band, _config_echo(args), args.format))
     return 0
 
 

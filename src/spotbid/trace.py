@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import math
-import random
 from collections import namedtuple
 from datetime import date, datetime, timezone
 from itertools import islice
@@ -456,6 +455,9 @@ def synth_step_hold(config: SynthConfig) -> PriceTrace:
     [-step_scale, +step_scale] clamped into the band.  Timestamps advance
     one minute per point from SYNTH_EPOCH.
     """
+    # Imported here so that only synth pays for it.
+    import random
+
     band = config.band
     rng = random.Random(config.seed)
     level = rng.uniform(band.floor, band.ceiling)

@@ -387,6 +387,72 @@ def test_sweep_csv(tmp_path):
     assert lines[1].startswith("-10.0,-10.0,")
 
 
+AWS_FILTERS = [
+    "--aws-json", AWS, "--instance-type", "g2.8xlarge",
+    "--product", "Linux/UNIX", "--zone", "us-east-1b",
+]
+AWS_ECHO = [
+    ("trace", None),
+    ("aws_json", AWS),
+    ("instance_type", "g2.8xlarge"),
+    ("product", "Linux/UNIX"),
+    ("zone", "us-east-1b"),
+    ("floor", 0.256),
+    ("ceiling", 2.6),
+]
+
+
+def echo_of(argv, capsys, tmp_path):
+    """config_echo of a JSON run to stdout, checked to be the same when
+    --parallel, --plot-dir and --out are added."""
+    assert run(argv) == 0
+    echo = json.loads(capsys.readouterr().out)["config_echo"]
+    out = tmp_path / "report.json"
+    extra = ["--parallel", "--out", str(out)]
+    if argv[0] == "backtest":
+        extra += ["--plot-dir", str(tmp_path / "plots")]
+    assert run(argv + extra) == 0
+    again = json.loads(out.read_text())["config_echo"]
+    assert list(again.items()) == list(echo.items())
+    return echo
+
+
+def test_backtest_config_echo_records_every_result_flag(capsys, tmp_path):
+    argv = [
+        "backtest", *AWS_FILTERS, *BAND_ARGS, "--strategies", "feedback,mean,ondemand",
+        "--kp", "5", "--ki", "2", "--pre-delta", "0.01", "--post-delta", "0.02",
+        "--mode", "causal", "--initial-bid", "1.0", "--no-include-bids",
+        "--allow-positive-gains",
+    ]
+    echo = echo_of(argv, capsys, tmp_path)
+    assert list(echo.items()) == AWS_ECHO + [
+        ("strategies", "feedback,mean,ondemand"),
+        ("kp", 5.0),
+        ("ki", 2.0),
+        ("pre_delta", 0.01),
+        ("post_delta", 0.02),
+        ("mode", "causal"),
+        ("initial_bid", 1.0),
+        ("include_bids", False),
+        ("allow_positive_gains", True),
+    ]
+
+
+def test_sweep_config_echo_records_every_grid(capsys, tmp_path):
+    argv = [
+        "sweep", *AWS_FILTERS, *BAND_ARGS, "--kp", "1,10", "--ki", "2,20,200",
+        "--pre-delta", "0,0.01", "--post-delta", "0.02,0", "--initial-bid", "1.0",
+    ]
+    echo = echo_of(argv, capsys, tmp_path)
+    assert list(echo.items()) == AWS_ECHO + [
+        ("kp", [1.0, 10.0]),
+        ("ki", [2.0, 20.0, 200.0]),
+        ("pre_delta", [0.0, 0.01]),
+        ("post_delta", [0.02, 0.0]),
+        ("initial_bid", 1.0),
+    ]
+
+
 def test_cli_rerun_byte_identical(tmp_path):
     argv = [
         "backtest",
@@ -654,27 +720,35 @@ def test_trace_to_json_matches_json_dumps_indent(rows, label):
 
 
 def test_import_leaves_concurrent_futures_unloaded(tmp_path):
-    # Only --parallel uses a thread pool, and only a log record needs
-    # logging; plain runs pay for neither import, nor for dataclasses and
-    # the inspect module it pulls in.  typing, pathlib and random are not
-    # checked: site may import them before spotbid loads.
+    # Only --parallel uses a thread pool, only a log record needs logging
+    # and only synth needs random; plain runs pay for none of these imports,
+    # nor for dataclasses and the inspect module it pulls in, nor for
+    # pathlib.  site may import typing, pathlib and random before spotbid
+    # loads (a .pth file can), so pathlib and random are checked only in a
+    # run under -S, which skips site.
     code = (
-        "import sys, spotbid.cli\n"
-        "unwanted = ['concurrent.futures', 'dataclasses', 'inspect', 'logging']\n"
+        "import json, sys, spotbid.cli\n"
+        "unwanted, runs = json.loads(sys.argv[1])\n"
         "print([name for name in unwanted if name in sys.modules])\n"
-        "code = spotbid.cli.main(sys.argv[1:])\n"
-        "print([name for name in unwanted if name in sys.modules], code)\n"
+        "for argv in runs:\n"
+        "    code = spotbid.cli.main(argv)\n"
+        "    print([name for name in unwanted if name in sys.modules], code)\n"
     )
-    argv = [
-        "sweep", "--trace", TRACE, *BAND_ARGS, "--kp", "1,10", "--ki", "1,10",
-        "--out", str(tmp_path / "s.json"),
+    runs = [
+        ["backtest", "--trace", TRACE, *BAND_ARGS, "--out", str(tmp_path / "r.json")],
+        [
+            "sweep", "--trace", TRACE, *BAND_ARGS, "--kp", "1,10", "--ki", "1,10",
+            "--out", str(tmp_path / "s.json"),
+        ],
     ]
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *argv],
-        capture_output=True, text=True, env=cli_env(), timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n[] 0\n"
+    unwanted = ["concurrent.futures", "dataclasses", "inspect", "logging"]
+    for flags, names in [([], unwanted), (["-S"], unwanted + ["pathlib", "random"])]:
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", code, json.dumps([names, runs])],
+            capture_output=True, text=True, env=cli_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n[] 0\n[] 0\n"
 
 
 def test_all_names_the_imported_public_api():
