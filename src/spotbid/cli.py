@@ -54,11 +54,10 @@ _log_level = _LOG_LEVELS["warn"]
 
 _ALL_STRATEGIES = ",".join(kind.value for kind in StrategyKind)
 
-# Namespace keys that cannot change the numbers: the subcommand, output
-# routing and execution details like --parallel.  config_echo leaves them
-# out so equivalent runs (serial or parallel, any destination) write
-# byte-identical reports.
-_NOT_ECHOED = frozenset(("command", "handler", "out", "format", "plot_dir", "parallel"))
+# Namespace keys that cannot change the numbers: the subcommand and output
+# routing.  config_echo leaves them out so equivalent runs (any destination)
+# write byte-identical reports.
+_NOT_ECHOED = frozenset(("command", "handler", "out", "format", "plot_dir"))
 
 
 def _finite_float(text: str) -> float:
@@ -202,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="include full bid arrays in the JSON report "
         "(default: on below 100000 points)",
     )
-    bt.add_argument("--parallel", action="store_true", help="run strategies in parallel")
     bt.add_argument(
         "--allow-positive-gains",
         action="store_true",
@@ -245,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="first standing bid (default: half the ceiling)",
     )
     _add_output_flags(sw)
-    sw.add_argument("--parallel", action="store_true", help="evaluate cells in parallel")
     sw.set_defaults(handler=_cmd_sweep)
 
     sy = commands.add_parser(
@@ -599,7 +596,6 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
         trace,
         specs,
         band,
-        parallel=args.parallel,
         allow_positive_gains=args.allow_positive_gains,
         config_echo=_config_echo(args),
     )
@@ -624,7 +620,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    points = sweep(trace, config, parallel=args.parallel)
+    points = sweep(trace, config)
     _write_output(args.out, render_sweep(points, band, _config_echo(args), args.format))
     return 0
 

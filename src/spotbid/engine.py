@@ -1,15 +1,13 @@
 """Backtest orchestration, gain/adjustment sweeps, and Pareto extraction.
 
 Every strategy (or sweep cell) replays independently against the identical
-trace, so work units may run concurrently; results always merge back in the
-deterministic configured order and serial and parallel runs produce
-identical output.
+trace, in the deterministic configured order.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from itertools import product
 
 from . import metrics
@@ -103,17 +101,6 @@ class SweepPoint(namedtuple(
     __slots__ = ()
 
 
-def _ordered_map(fn: Callable, items: Sequence, parallel: bool) -> list:
-    # ThreadPoolExecutor.map preserves input order, keeping parallel output
-    # identical to serial.  Imported here so that only --parallel pays for it.
-    if parallel and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor() as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _unique_names(base_names: Sequence[str]) -> list[str]:
     seen: dict[str, int] = {}
     names = []
@@ -135,7 +122,8 @@ def backtest(
     """Replay every strategy against the same trace and score the set.
 
     Output ordering equals spec ordering; strategies sharing a kind get
-    #2/#3 suffixes so report names stay unique.
+    #2/#3 suffixes so report names stay unique.  ``parallel`` is kept for
+    callers that pass it and selects nothing: every run is serial.
     """
     validate(trace)
     if not specs:
@@ -143,9 +131,7 @@ def backtest(
     for spec in specs:
         validate_spec(spec, band, require_negative_gains=not allow_positive_gains)
 
-    series_list = _ordered_map(
-        lambda spec: run_strategy(spec, trace, band), list(specs), parallel
-    )
+    series_list = [run_strategy(spec, trace, band) for spec in specs]
     names = _unique_names([series.strategy_name for series in series_list])
     summaries = [metrics.score(series, trace) for series in series_list]
     rationality = metrics.relative_rationality(
@@ -188,7 +174,8 @@ def sweep(
 
     Cells are emitted sorted by (kp, ki, pre_delta, post_delta) of the
     applied values, deduplicated, with relative rationality computed over
-    the whole sweep and Pareto membership marked.
+    the whole sweep and Pareto membership marked.  ``parallel`` is kept for
+    callers that pass it and selects nothing: every run is serial.
     """
     validate(trace)
     cells = sorted(
@@ -202,19 +189,15 @@ def sweep(
             )
         }
     )
-
-    def evaluate(cell: tuple[float, float, float, float]) -> metrics.MetricsSummary:
-        kp, ki, pre, post = cell
+    summaries = []
+    for kp, ki, pre, post in cells:
         spec = StrategySpec(
             kind=StrategyKind.FEEDBACK,
             gains=PiGains(kp=kp, ki=ki),
             adjustments=Adjustments(pre_delta=pre, post_delta=post),
             initial_bid=config.initial_bid,
         )
-        series = run_strategy(spec, trace, config.band)
-        return metrics.score(series, trace)
-
-    summaries = _ordered_map(evaluate, cells, parallel)
+        summaries.append(metrics.score(run_strategy(spec, trace, config.band), trace))
     rationality = metrics.relative_rationality(
         [
             (f"kp={kp},ki={ki},pre={pre},post={post}", summary.distance)

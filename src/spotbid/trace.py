@@ -133,6 +133,8 @@ class SynthConfig(namedtuple(
             self = super().__new__(cls, PriceBand(*self.band), *self[1:])
         if self.n_points < 1:
             raise ValueError(f"n_points must be >= 1, got {self.n_points}")
+        if self.n_points > 10_000_000:
+            raise ValueError(f"n_points must be <= 10000000, got {self.n_points}")
         if self.hold_steps_mean < 1:
             raise ValueError(
                 f"hold_steps_mean must be >= 1, got {self.hold_steps_mean}"
@@ -256,39 +258,43 @@ def parse_csv(raw: bytes | str) -> PriceTrace:
     """
     text = _decode(raw).lstrip("﻿")
     rows = csv.reader(io.StringIO(text))
-    header = next(rows, None)
-    if header is None or [cell.strip() for cell in header] != ["timestamp", "price"]:
-        raise DataError(
-            f"malformed header at line 1: expected 'timestamp,price', got {header!r}"
-        )
     stamps: list[int] = []
     prices: list[float] = []
     append_stamp, append_price = stamps.append, prices.append
     utc, epoch = timezone.utc, _EPOCH
     fromisoformat, isfinite = datetime.fromisoformat, math.isfinite
-    for line_no, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
+    # One try for the whole read: entering it costs nothing per row.
+    try:
+        header = next(rows, None)
+        if header is None or [cell.strip() for cell in header] != ["timestamp", "price"]:
             raise DataError(
-                f"expected 2 columns at line {line_no}, got {len(row)}"
+                f"malformed header at line 1: expected 'timestamp,price', got {header!r}"
             )
-        try:
-            ts = fromisoformat(row[0])
-            if ts.tzinfo is not utc and ts.tzinfo is not None:
-                ts = ts.astimezone(utc)
-            price = float(row[1])
-            inline = (ts.tzinfo is utc and not ts.microsecond
-                      and isfinite(price) and price >= 0)
-        except (ValueError, OverflowError):
-            inline = False
-        if not inline:
-            where = f"line {line_no}"
-            ts = _parse_timestamp(row[0], where)
-            price = _parse_price(row[1], where)
-        delta = ts - epoch
-        append_stamp(delta.days * 86400 + delta.seconds)
-        append_price(price)
+        for line_no, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise DataError(
+                    f"expected 2 columns at line {line_no}, got {len(row)}"
+                )
+            try:
+                ts = fromisoformat(row[0])
+                if ts.tzinfo is not utc and ts.tzinfo is not None:
+                    ts = ts.astimezone(utc)
+                price = float(row[1])
+                inline = (ts.tzinfo is utc and not ts.microsecond
+                          and isfinite(price) and price >= 0)
+            except (ValueError, OverflowError):
+                inline = False
+            if not inline:
+                where = f"line {line_no}"
+                ts = _parse_timestamp(row[0], where)
+                price = _parse_price(row[1], where)
+            delta = ts - epoch
+            append_stamp(delta.days * 86400 + delta.seconds)
+            append_price(price)
+    except csv.Error as exc:  # a field over the csv module's size limit, say
+        raise DataError(f"malformed CSV at line {rows.line_num}: {exc}") from None
     if not stamps:
         raise DataError("empty body: no data rows after the header")
     return PriceTrace(tuple(stamps), tuple(prices))
@@ -352,7 +358,7 @@ def parse_aws_json(
     text = _decode(raw)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise DataError(f"invalid JSON: {exc}") from None
     # The decoded text is as large as the input: free it before the kept
     # records and the columns are built, which lowers the peak memory.

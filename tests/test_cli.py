@@ -149,6 +149,35 @@ def test_aws_timestamp_out_of_utc_range_is_data_error(tmp_path, capsys):
     assert "internal error" not in err
 
 
+def test_deeply_nested_aws_json_is_data_error(tmp_path, capsys):
+    # json.loads raises RecursionError, not JSONDecodeError, past its depth.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    assert run(["ingest", "--aws-json", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid JSON: maximum recursion depth exceeded" in err
+    assert "internal error" not in err
+
+
+def test_oversized_csv_field_is_data_error(tmp_path, capsys):
+    # A field past csv.field_size_limit() raises csv.Error.
+    big = tmp_path / "big.csv"
+    big.write_text("timestamp,price\n2020-01-01T00:00:00Z,1.3\n"
+                   "2020-01-01T00:01:00Z," + "1" * 200_000 + "\n")
+    assert run(["ingest", "--trace", str(big)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed CSV at line 3: field larger than field limit" in err
+    assert "internal error" not in err
+
+
+def test_synth_points_over_the_limit_is_usage_error(capsys):
+    argv = ["synth", *BAND_ARGS, "--points", "10000001"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "n_points must be <= 10000000, got 10000001" in err
+    assert "internal error" not in err
+
+
 def test_synth_then_ingest_round_trip(tmp_path):
     out = tmp_path / "synth.csv"
     assert (
@@ -404,11 +433,11 @@ AWS_ECHO = [
 
 def echo_of(argv, capsys, tmp_path):
     """config_echo of a JSON run to stdout, checked to be the same when
-    --parallel, --plot-dir and --out are added."""
+    --out (and, for backtest, --plot-dir) is added."""
     assert run(argv) == 0
     echo = json.loads(capsys.readouterr().out)["config_echo"]
     out = tmp_path / "report.json"
-    extra = ["--parallel", "--out", str(out)]
+    extra = ["--out", str(out)]
     if argv[0] == "backtest":
         extra += ["--plot-dir", str(tmp_path / "plots")]
     assert run(argv + extra) == 0
@@ -465,8 +494,18 @@ def test_cli_rerun_byte_identical(tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
     assert run(argv + ["--out", str(first)]) == 0
-    assert run(argv + ["--out", str(second), "--parallel"]) == 0
+    assert run(argv + ["--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_parallel_flag_is_gone(capsys):
+    # Every run is serial; the former --parallel knob is an unknown flag.
+    for argv in (
+        ["backtest", "--trace", TRACE, *BAND_ARGS],
+        ["sweep", "--trace", TRACE, *BAND_ARGS],
+    ):
+        assert run(argv + ["--parallel"]) == 1
+        assert "unrecognized arguments: --parallel" in capsys.readouterr().err
 
 
 def test_allow_positive_gains_warns(tmp_path):
@@ -720,8 +759,8 @@ def test_trace_to_json_matches_json_dumps_indent(rows, label):
 
 
 def test_import_leaves_concurrent_futures_unloaded(tmp_path):
-    # Only --parallel uses a thread pool, only a log record needs logging
-    # and only synth needs random; plain runs pay for none of these imports,
+    # Nothing uses a thread pool, only a log record needs logging and only
+    # synth needs random; plain runs pay for none of these imports,
     # nor for dataclasses and the inspect module it pulls in, nor for
     # pathlib.  site may import typing, pathlib and random before spotbid
     # loads (a .pth file can), so pathlib and random are checked only in a

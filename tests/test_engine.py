@@ -101,13 +101,6 @@ def test_positive_gains_need_opt_in(band):
     assert "positive gains" in report.warnings[0]
 
 
-def test_parallel_backtest_identical(band, stephold_trace):
-    specs = specs_for(*sb.StrategyKind, mode=sb.StatMode.FULL_TRACE)
-    serial = sb.backtest(stephold_trace, specs, band, parallel=False)
-    parallel = sb.backtest(stephold_trace, specs, band, parallel=True)
-    assert serial == parallel
-
-
 def test_config_echo_passthrough(band):
     echo = {"trace": "x.csv", "kp": 10.0}
     report = sb.backtest(
@@ -191,15 +184,6 @@ def test_sweep_cell_equals_direct_run(band, stephold_trace):
     series = sb.run_strategy(spec, stephold_trace, band)
     assert point.success_rate == sb.success_rate(series, stephold_trace)
     assert point.distance == sb.distance(series, stephold_trace)
-
-
-def test_sweep_parallel_identical(band, stephold_trace):
-    config = sb.SweepConfig(
-        band=band, kp_magnitudes=(1.0, 10.0), ki_magnitudes=(1.0, 10.0)
-    )
-    assert sb.sweep(stephold_trace, config, parallel=True) == sb.sweep(
-        stephold_trace, config, parallel=False
-    )
 
 
 def test_sweep_config_validation(band):

@@ -346,6 +346,10 @@ INVALID = [
         "n_points must be >= 1, got 0",
     ),
     (
+        lambda: sb.SynthConfig(band=BAND, n_points=10**20, hold_steps_mean=0),
+        f"n_points must be <= 10000000, got {10**20}",
+    ),
+    (
         lambda: sb.SynthConfig(band=BAND, n_points=1, hold_steps_mean=0, step_scale=0.0),
         "hold_steps_mean must be >= 1, got 0",
     ),

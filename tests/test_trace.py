@@ -58,6 +58,9 @@ def test_parse_csv_errors():
         sb.parse_csv(b"timestamp,price\n2015-05-03T00:20:06.5Z,0.2\n")
     with pytest.raises(sb.DataError, match="2 columns"):
         sb.parse_csv(b"timestamp,price\n2015-05-03T00:20:06Z,0.2,extra\n")
+    with pytest.raises(sb.DataError, match="^malformed CSV at line 3: field larger"):
+        sb.parse_csv("timestamp,price\n2015-05-03T00:20:06Z,0.2\n"
+                     "2015-05-03T00:21:06Z," + "1" * 200_000 + "\n")
     with pytest.raises(sb.DataError, match="price"):
         sb.parse_csv(b"timestamp,price\n2015-05-03T00:20:06Z,nan\n")
 
