@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 
 from .band_model import PriceBand
 from .controller import PiGains
@@ -303,8 +303,8 @@ def report_to_obj(
 ) -> dict[str, object]:
     """The JSON report as a value, with each bid rounded to 6 places.
 
-    render_report passes bids_value=_Bids, which _json writes as the same
-    text without building the rounded lists.
+    The report writer passes bids_value=_Bids, which _json writes as the
+    same text without building the rounded lists.
     """
     strategies = []
     for result in report.results:
@@ -368,11 +368,12 @@ def _bids_json(bids: tuple[float, ...], depth: int) -> str:
         )
         pad = "\n" + "  " * (depth + 1)
         return "[" + pad + text[:-1].replace(",", "," + pad) + pad[:-2] + "]"
-    return _json(_rounded(bids), depth)
+    return "".join(_json(_rounded(bids), depth))
 
 
-def _json(value: object, depth: int = 0) -> str:
-    """The text json.dumps(value, indent=2) gives, for str-keyed values.
+def _json(value: object, depth: int = 0) -> Iterator[str]:
+    """The text json.dumps(value, indent=2) gives, for str-keyed values, in
+    pieces: a caller can write each piece as it comes instead of the whole.
 
     With indent set, json.dumps runs the pure-Python encoder, which costs a
     call and several chunks per float of a bids array.  This writer lays out
@@ -380,29 +381,47 @@ def _json(value: object, depth: int = 0) -> str:
     one call.  That is safe because both encoders write a float as
     float.__repr__ (NaN and Infinity for the non-finite ones), and no
     float's text contains ", ", so the only ", " in the C output are the
-    separators, which become the indented ",\\n".
+    separators, which become the indented ",\\n".  Each all-float list and
+    each _Bids array is one piece; the layout around them is short pieces.
     """
     if type(value) is _Bids:
-        return _bids_json(value.bids, depth)
+        yield _bids_json(value.bids, depth)
+        return
     pad = "\n" + "  " * (depth + 1)
     if isinstance(value, dict) and value:
-        body = ("," + pad).join(
-            f"{json.dumps(key)}: {_json(item, depth + 1)}"
-            for key, item in value.items()
-        )
-        return "{" + pad + body + pad[:-2] + "}"
-    if isinstance(value, (list, tuple)) and value:
+        opener = "{"
+        for key, item in value.items():
+            yield f"{opener}{pad}{json.dumps(key)}: "
+            yield from _json(item, depth + 1)
+            opener = ","
+        yield pad[:-2] + "}"
+    elif isinstance(value, (list, tuple)) and value:
         if all(type(item) is float for item in value):
             body = json.dumps(value)[1:-1].replace(", ", "," + pad)
+            yield "[" + pad + body + pad[:-2] + "]"
         else:
-            body = ("," + pad).join(_json(item, depth + 1) for item in value)
-        return "[" + pad + body + pad[:-2] + "]"
-    return json.dumps(value)
+            opener = "["
+            for item in value:
+                yield opener + pad
+                yield from _json(item, depth + 1)
+                opener = ","
+            yield pad[:-2] + "]"
+    else:
+        yield json.dumps(value)
 
 
-def render_report(report: BacktestReport, fmt: str, include_bids: bool) -> str:
+def _report_pieces(
+    report: BacktestReport, fmt: str, include_bids: bool
+) -> Iterator[str]:
+    """render_report's text in pieces, one piece per bids array at most.
+
+    The backtest command writes the pieces one by one, so the whole report
+    is never held as text: at 1M points with bids it is about 95 MB.
+    """
     if fmt == "json":
-        return _json(report_to_obj(report, include_bids, _Bids)) + "\n"
+        yield from _json(report_to_obj(report, include_bids, _Bids))
+        yield "\n"
+        return
     lines = ["name,success_rate,distance,relative_rationality"]
     for result in report.results:
         m = result.metrics
@@ -410,7 +429,11 @@ def render_report(report: BacktestReport, fmt: str, include_bids: bool) -> str:
             f"{result.name},{m.success_rate:.6f},{m.distance:.6f},"
             f"{m.relative_rationality:.6f}"
         )
-    return "\n".join(lines) + "\n"
+    yield "\n".join(lines) + "\n"
+
+
+def render_report(report: BacktestReport, fmt: str, include_bids: bool) -> str:
+    return "".join(_report_pieces(report, fmt, include_bids))
 
 
 def render_sweep(
@@ -488,14 +511,14 @@ def write_plot_data(report: BacktestReport, trace: PriceTrace, plot_dir: str) ->
     )
     for result in report.results:
         text = template % result.series.bids[: len(trace)]
-        _write_output(os.path.join(plot_dir, f"trajectory_{result.name}.csv"), text)
+        _write_output(os.path.join(plot_dir, f"trajectory_{result.name}.csv"), [text])
     lines = ["name,success_rate,relative_rationality"]
     for result in report.results:
         m = result.metrics
         lines.append(
             f"{result.name},{m.success_rate:.6f},{m.relative_rationality:.6f}"
         )
-    _write_output(os.path.join(plot_dir, "comparison.csv"), "\n".join(lines) + "\n")
+    _write_output(os.path.join(plot_dir, "comparison.csv"), ["\n".join(lines) + "\n"])
 
 
 # ---------------------------------------------------------------- handlers
@@ -509,13 +532,14 @@ def _read_bytes(path_text: str) -> bytes:
         raise DataError(f"cannot read {path_text}: {exc}") from None
 
 
-def _write_output(path: str | None, text: str) -> None:
+def _write_output(path: str | None, pieces: Iterable[str]) -> None:
+    """Write the pieces in order to path, or to standard output."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(path, "w", encoding="utf-8") as file:
-            file.write(text)
+            file.writelines(pieces)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from None
 
@@ -581,7 +605,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     trace = _load_trace(args)
     _log(_LOG_LEVELS["info"], "ingested %d points", len(trace))
     text = to_csv(trace) if args.format == "csv" else trace_to_json(trace)
-    _write_output(args.out, text)
+    _write_output(args.out, [text])
     return 0
 
 
@@ -602,7 +626,7 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
     # Plot data first: a run whose plot data fails leaves no report behind.
     if args.plot_dir is not None:
         write_plot_data(report, trace, args.plot_dir)
-    _write_output(args.out, render_report(report, args.format, args.include_bids))
+    _write_output(args.out, _report_pieces(report, args.format, args.include_bids))
     return 0
 
 
@@ -621,7 +645,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     points = sweep(trace, config)
-    _write_output(args.out, render_sweep(points, band, _config_echo(args), args.format))
+    _write_output(
+        args.out, [render_sweep(points, band, _config_echo(args), args.format)]
+    )
     return 0
 
 
@@ -637,7 +663,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    _write_output(args.out, to_csv(synth_step_hold(config)))
+    _write_output(args.out, [to_csv(synth_step_hold(config))])
     return 0
 
 

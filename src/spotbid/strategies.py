@@ -274,7 +274,15 @@ def run_strategy(
                 if stat > high:
                     high = stat
                 stat = high
-            bid = stat + post
+            # `if post` is false for post_delta 0.0 and -0.0, and then the
+            # bid is the stat object itself: the minimum, high and current
+            # bids share the trace's price floats instead of allocating a new
+            # float per step.  The bits are those of stat + post.  After
+            # validate every stat is a positive finite double, and
+            # stat + ±0.0 == stat exactly for any nonzero stat; a stat of
+            # ±0.0 (an unvalidated trace) lies below the floor, which is
+            # positive, so the clamp bids the floor either way.
+            bid = stat + post if post else stat
             if floor > bid:
                 bid = floor
             if ceiling < bid:

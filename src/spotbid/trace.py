@@ -171,9 +171,9 @@ def _decode(raw: bytes | str) -> str:
 
 def _parse_timestamp(text: str, where: str) -> datetime:
     raw = text.strip()
-    # fromisoformat reads "Z" only from Python 3.11 on, and never "z".  The
-    # inline fast paths of parse_csv and parse_aws_json hand it the raw text
-    # and leave padded, "z" and (on 3.10) "Z" stamps to this rewrite.
+    # fromisoformat reads "Z" but never "z".  The inline fast paths of
+    # parse_csv and parse_aws_json hand it the raw text and leave padded and
+    # "z" stamps to this rewrite.
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
     try:
@@ -239,6 +239,29 @@ def format_timestamps(stamps: tuple[int, ...]) -> list[str]:
     return texts
 
 
+def _csv_lines(raw: bytes | str) -> io.TextIOBase:
+    """The text of raw past its leading BOMs, as a stream of lines.
+
+    A str is read from memory.  Bytes are first decoded whole by _decode, so
+    that a UTF-8 error is worded with its position in the whole input and
+    wins over any bad row; that text is then dropped.  The lines are decoded
+    from the bytes a chunk at a time, and BytesIO shares the bytes rather
+    than copying them, so no copy of the whole text is alive while the rows
+    are read (an io.StringIO holds its text at 4 bytes per character).
+    Every leading BOM is skipped, 3 bytes each, as lstrip skips them in a
+    str.  Both streams end a line at "\n" only, StringIO's default, so a
+    file of bare "\r" line ends is one line, which csv rejects.
+    """
+    if isinstance(raw, str):
+        return io.StringIO(raw.lstrip("\ufeff"))
+    text = _decode(raw)
+    boms = len(text) - len(text.lstrip("\ufeff"))
+    del text
+    buffer = io.BytesIO(raw)
+    buffer.seek(3 * boms)
+    return io.TextIOWrapper(buffer, encoding="utf-8", newline="\n")
+
+
 def parse_csv(raw: bytes | str) -> PriceTrace:
     """Parse `timestamp,price` CSV into a trace, in file order.
 
@@ -256,45 +279,47 @@ def parse_csv(raw: bytes | str) -> PriceTrace:
     goes through the two helpers instead.  They stay the only code that
     words a parse error, so every message is theirs.
     """
-    text = _decode(raw).lstrip("﻿")
-    rows = csv.reader(io.StringIO(text))
     stamps: list[int] = []
     prices: list[float] = []
     append_stamp, append_price = stamps.append, prices.append
     utc, epoch = timezone.utc, _EPOCH
     fromisoformat, isfinite = datetime.fromisoformat, math.isfinite
-    # One try for the whole read: entering it costs nothing per row.
-    try:
-        header = next(rows, None)
-        if header is None or [cell.strip() for cell in header] != ["timestamp", "price"]:
-            raise DataError(
-                f"malformed header at line 1: expected 'timestamp,price', got {header!r}"
-            )
-        for line_no, row in enumerate(rows, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
+    with _csv_lines(raw) as lines:
+        rows = csv.reader(lines)
+        # One try for the whole read: entering it costs nothing per row.
+        try:
+            header = next(rows, None)
+            cells = None if header is None else [cell.strip() for cell in header]
+            if cells != ["timestamp", "price"]:
                 raise DataError(
-                    f"expected 2 columns at line {line_no}, got {len(row)}"
+                    f"malformed header at line 1: expected 'timestamp,price', "
+                    f"got {header!r}"
                 )
-            try:
-                ts = fromisoformat(row[0])
-                if ts.tzinfo is not utc and ts.tzinfo is not None:
-                    ts = ts.astimezone(utc)
-                price = float(row[1])
-                inline = (ts.tzinfo is utc and not ts.microsecond
-                          and isfinite(price) and price >= 0)
-            except (ValueError, OverflowError):
-                inline = False
-            if not inline:
-                where = f"line {line_no}"
-                ts = _parse_timestamp(row[0], where)
-                price = _parse_price(row[1], where)
-            delta = ts - epoch
-            append_stamp(delta.days * 86400 + delta.seconds)
-            append_price(price)
-    except csv.Error as exc:  # a field over the csv module's size limit, say
-        raise DataError(f"malformed CSV at line {rows.line_num}: {exc}") from None
+            for line_no, row in enumerate(rows, start=2):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise DataError(
+                        f"expected 2 columns at line {line_no}, got {len(row)}"
+                    )
+                try:
+                    ts = fromisoformat(row[0])
+                    if ts.tzinfo is not utc and ts.tzinfo is not None:
+                        ts = ts.astimezone(utc)
+                    price = float(row[1])
+                    inline = (ts.tzinfo is utc and not ts.microsecond
+                              and isfinite(price) and price >= 0)
+                except (ValueError, OverflowError):
+                    inline = False
+                if not inline:
+                    where = f"line {line_no}"
+                    ts = _parse_timestamp(row[0], where)
+                    price = _parse_price(row[1], where)
+                delta = ts - epoch
+                append_stamp(delta.days * 86400 + delta.seconds)
+                append_price(price)
+        except csv.Error as exc:  # a field over the csv module's size limit, say
+            raise DataError(f"malformed CSV at line {rows.line_num}: {exc}") from None
     if not stamps:
         raise DataError("empty body: no data rows after the header")
     return PriceTrace(tuple(stamps), tuple(prices))
@@ -355,13 +380,16 @@ def parse_aws_json(
     the error, so the first bad record and its message are the same as when
     every record went through it.
     """
+    # The input bytes and the decoded text are each as large as the file.
+    # Each is freed as soon as the next form exists, which lowers the peak
+    # memory: the bytes once decoded (if the caller holds no other reference,
+    # as when the CLI passes them straight in), the text once parsed.
     text = _decode(raw)
+    del raw
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise DataError(f"invalid JSON: {exc}") from None
-    # The decoded text is as large as the input: free it before the kept
-    # records and the columns are built, which lowers the peak memory.
     del text
     if isinstance(doc, dict):
         records = doc.get("SpotPriceHistory")

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -498,6 +499,47 @@ def test_cli_rerun_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_backtest_streams_the_json_report(tmp_path, monkeypatch):
+    # The report is written piece by piece, each bids array one piece.  Above
+    # its level when the replay returns, the run allocates less than the
+    # report's own size; held whole, the text alone is that size.
+    trace = tmp_path / "trace.csv"
+    assert run(["synth", *BAND_ARGS, "--points", "20000", "--out", str(trace)]) == 0
+    out = tmp_path / "report.json"
+    replayed = []
+
+    def backtest(*args, **kwargs):
+        report = sb.backtest(*args, **kwargs)
+        replayed.append((report, tracemalloc.get_traced_memory()[0]))
+        tracemalloc.reset_peak()
+        return report
+
+    monkeypatch.setattr("spotbid.cli.backtest", backtest)
+    tracemalloc.start()
+    try:
+        code = run(
+            ["backtest", "--trace", str(trace), *BAND_ARGS, "--include-bids",
+             "--out", str(out)]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    [(report, before_render)] = replayed
+    written = out.read_bytes()
+    assert written == render_report(report, "json", True).encode()
+    assert peak - before_render < len(written)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_backtest_out_file_matches_stdout(tmp_path, capsysbinary, fmt):
+    out = tmp_path / "report"
+    argv = ["backtest", "--trace", TRACE, *BAND_ARGS, "--include-bids", "--format", fmt]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert run(argv) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
 def test_parallel_flag_is_gone(capsys):
     # Every run is serial; the former --parallel knob is an unknown flag.
     for argv in (
@@ -608,7 +650,7 @@ JSON_VALUES = st.recursive(
 @example([0.5, "1.0, 2.0"])
 @example({"bids": [math.nan, -0.0, [1.5]], "n": [1.5, 2, True]})
 def test_json_writer_matches_json_dumps_indent(value):
-    assert _json(value) == json.dumps(value, indent=2)
+    assert "".join(_json(value)) == json.dumps(value, indent=2)
 
 
 # Bids for the report writer's fast path (finite, 1e-4 <= bid < 1e9) and

@@ -340,6 +340,14 @@ def replay_specs(draw):
     prices=[1.3, 2.5, 0.3],
 )
 @example(spec=spec_for(sb.StrategyKind.MEAN), prices=[1.0, math.nan])
+# post_delta of either zero: the causal baselines skip the addition
+@example(spec=spec_for(sb.StrategyKind.MINIMUM, post=0.0), prices=[1.0, 0.5, 2.0])
+@example(spec=spec_for(sb.StrategyKind.HIGH, post=-0.0), prices=[1.0, 0.5, 2.0])
+@example(spec=spec_for(sb.StrategyKind.MEAN, post=-0.0), prices=[0.3, 2.9, 0.7])
+@example(  # stats of ±0.0, which validate would reject, clamp to the floor
+    spec=spec_for(sb.StrategyKind.CURRENT, post=0.0), prices=[-0.0, 0.0, 1.0]
+)
+@example(spec=spec_for(sb.StrategyKind.CURRENT, post=-0.0), prices=[-0.0, 0.0, 1.0])
 def test_run_strategy_matches_reference_replay(spec, prices):
     trace = make_trace(prices)
     bids, failure = reference_replay(spec, prices, REFERENCE_BAND)
@@ -356,3 +364,16 @@ def test_run_strategy_matches_reference_replay(spec, prices):
     if expected_type is sb.DataError:
         timestamp = sb.format_timestamp(trace.points[index].timestamp)
         assert f"step {index + 1} ({timestamp})" in str(info.value)
+
+
+@pytest.mark.parametrize("post", [0.0, -0.0])
+@pytest.mark.parametrize("kind", ["minimum", "high", "current"])
+def test_causal_baseline_bids_share_price_floats(kind, post):
+    # Prices inside the band: with a zero post_delta each bid after the first
+    # is one of the trace's own float objects, not a new float of equal value.
+    trace = make_trace([1.5, 0.7, 2.1, 0.7, 1.9])
+    bids = sb.run_strategy(
+        spec_for(sb.StrategyKind(kind), post=post), trace, REFERENCE_BAND
+    ).bids
+    ids = {id(price) for price in trace.prices()}
+    assert all(id(bid) in ids for bid in bids[1:])

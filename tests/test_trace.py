@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spotbid as sb
+from spotbid.cli import main
 from conftest import EPOCH, FIXTURES, UNIX_EPOCH, epoch_seconds, make_trace
 
 CSV_TWO_ROWS = b"timestamp,price\n2015-05-03T00:20:06Z,0.256\n2015-05-03T01:00:00Z,0.300\n"
@@ -162,6 +164,66 @@ def test_parse_csv_matches_reference_loop(rows, odd, bom):
         rows.insert(at, row)
     raw = (("\ufeff" if bom else "") + "timestamp,price\n" + "\n".join(rows)).encode()
     assert _parse_outcome(sb.parse_csv, raw) == _parse_outcome(reference_parse_csv, raw)
+
+
+CSV_ROWS = "timestamp,price\n2020-01-01T00:00:00Z,1.5\n2020-01-01T00:01:00Z,2.25\n"
+
+
+@pytest.mark.parametrize("boms", [1, 2])
+def test_parse_csv_bytes_skip_every_leading_bom(boms):
+    # utf-8-sig would strip only the first BOM; every one goes, as for a str.
+    text = "\ufeff" * boms + CSV_ROWS
+    assert sb.parse_csv(text.encode()) == sb.parse_csv(text) == sb.parse_csv(CSV_ROWS)
+
+
+def test_parse_csv_invalid_utf8_names_its_whole_input_position():
+    # 1000 good lines of 41 bytes (the padded header and 999 rows), then a
+    # byte that starts no UTF-8 sequence: the decode error counts from the
+    # start of the input, not from the chunk being read.
+    lines = ["timestamp,price".ljust(40)] + [
+        f"{sb.format_timestamp(1577836800 + 60 * i)},{1.5:.17f}" for i in range(999)
+    ]
+    good = "".join(line + "\n" for line in lines).encode()
+    assert len(good) == 41000
+    with pytest.raises(sb.DataError, match="^input is not valid UTF-8: .*position 41000"):
+        sb.parse_csv(good + b"\xff,1.5\n")
+
+
+def test_parse_csv_invalid_utf8_wins_over_an_earlier_bad_header():
+    with pytest.raises(sb.DataError, match="^input is not valid UTF-8"):
+        sb.parse_csv(b"time,price\n2020-01-01T00:00:00Z,1.5\n\xff\n")
+
+
+def test_parse_csv_cr_only_line_ends_are_one_malformed_line(tmp_path, capsys):
+    raw = b"timestamp,price\r2020-01-01T00:00:00Z,1.5\r2020-01-01T00:01:00Z,2.5\r"
+    with pytest.raises(sb.DataError, match="^malformed CSV at line 1: "):
+        sb.parse_csv(raw)
+    path = tmp_path / "cr.csv"
+    path.write_bytes(raw)
+    assert main(["ingest", "--trace", str(path)]) == 2
+    assert "error: malformed CSV at line 1: " in capsys.readouterr().err
+
+
+def test_parse_csv_peak_memory_stays_near_the_trace_it_keeps():
+    # Rows are decoded a chunk at a time, so the rise of the peak above the
+    # input stays below what the parse keeps plus one input size, the room
+    # the whole-input UTF-8 check takes before any row is read.  An
+    # io.StringIO of the decoded text holds 4 bytes per character: with it
+    # the rise here was 5.9 MB against a 2.3 MB limit.
+    rows = (
+        f"{sb.format_timestamp(1577836800 + 60 * i)},{0.256 + (i % 997) / 997 * 2.3!r}\n"
+        for i in range(20_000)
+    )
+    raw = ("timestamp,price\n" + "".join(rows)).encode()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = sb.parse_csv(raw)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 20_000
+    assert peak - base < (kept - base) + len(raw)
 
 
 def _padded_strftime(ts: datetime) -> str:
