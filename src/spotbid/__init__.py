@@ -12,12 +12,9 @@ from .controller import ControllerState, PiGains, step
 from .engine import (
     ENGINE_VERSION,
     BacktestReport,
-    StrategyResult,
     SweepConfig,
     SweepPoint,
-    TraceMeta,
     backtest,
-    pareto,
     pareto_flags,
     sweep,
 )
@@ -30,16 +27,12 @@ from .metrics import (
     success_rate,
 )
 from .strategies import (
-    STAT_KINDS,
     Adjustments,
     BidSeries,
     StatMode,
     StrategyKind,
     StrategySpec,
-    initial_bid_default,
-    resolve_initial_bid,
     run_strategy,
-    validate_spec,
 )
 from .trace import (
     PriceTrace,

@@ -4,7 +4,7 @@ The model is y = floor + (ceiling - floor) * arccot(u) / pi, using the
 continuous decreasing arccot branch with range (0, pi), i.e.
 arccot(u) = pi/2 - arctan(u).  Every finite control signal therefore maps
 strictly inside the band: large positive u approaches the floor, large
-negative u approaches the ceiling, and u = 0 lands on the band midpoint.
+negative u approaches the ceiling, and u = 0 lands halfway between them.
 """
 from __future__ import annotations
 
@@ -41,10 +41,6 @@ class PriceBand(namedtuple("PriceBand", "floor ceiling")):
     def width(self) -> float:
         return self.ceiling - self.floor
 
-    @property
-    def midpoint(self) -> float:
-        return self.floor + self.width * 0.5
-
     def clamp(self, price: float) -> float:
         return min(max(price, self.floor), self.ceiling)
 
@@ -52,7 +48,7 @@ class PriceBand(namedtuple("PriceBand", "floor ceiling")):
 def bid_from_control(u: float, band: PriceBand) -> float:
     """Map a finite control signal u to a bid strictly inside the band.
 
-    Strictly decreasing in u; bid_from_control(0) is the band midpoint.
+    Strictly decreasing in u; bid_from_control(0) is halfway up the band.
     In double precision the arccot saturates for |u| beyond ~1e16, so the
     result is clamped: rounding of pi/2 - atan(u) near its endpoints can
     otherwise overshoot the band by one ulp.

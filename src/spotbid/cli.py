@@ -536,6 +536,7 @@ def _write_output(path: str | None, pieces: Iterable[str]) -> None:
     """Write the pieces in order to path, or to standard output."""
     if path is None or path == "-":
         sys.stdout.writelines(pieces)
+        sys.stdout.flush()  # a closed reader fails here, not at exit
         return
     try:
         with open(path, "w", encoding="utf-8") as file:
@@ -559,9 +560,11 @@ def _load_trace(args: argparse.Namespace) -> PriceTrace:
     return validate(trace)
 
 
-def _band_from_args(args: argparse.Namespace) -> PriceBand:
+def _record_from_flags(record: Callable[..., object], **fields: object) -> object:
+    """record(**fields), whose values come from flags, so that a check the
+    record fails is a usage error."""
     try:
-        return PriceBand(floor=args.floor, ceiling=args.ceiling)
+        return record(**fields)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -610,7 +613,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_backtest(args: argparse.Namespace) -> int:
-    band = _band_from_args(args)
+    band = _record_from_flags(PriceBand, floor=args.floor, ceiling=args.ceiling)
     trace = _load_trace(args)
     specs = _build_specs(args)
     # Resolved in place, so config_echo records the value the run used.
@@ -631,19 +634,17 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    band = _band_from_args(args)
+    band = _record_from_flags(PriceBand, floor=args.floor, ceiling=args.ceiling)
     trace = _load_trace(args)
-    try:
-        config = SweepConfig(
-            band=band,
-            kp_magnitudes=args.kp,
-            ki_magnitudes=args.ki,
-            pre_deltas=args.pre_delta,
-            post_deltas=args.post_delta,
-            initial_bid=args.initial_bid,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    config = _record_from_flags(
+        SweepConfig,
+        band=band,
+        kp_magnitudes=args.kp,
+        ki_magnitudes=args.ki,
+        pre_deltas=args.pre_delta,
+        post_deltas=args.post_delta,
+        initial_bid=args.initial_bid,
+    )
     points = sweep(trace, config)
     _write_output(
         args.out, [render_sweep(points, band, _config_echo(args), args.format)]
@@ -652,17 +653,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    band = _band_from_args(args)
-    try:
-        config = SynthConfig(
-            band=band,
-            n_points=args.points,
-            hold_steps_mean=args.hold_mean,
-            step_scale=args.step_scale,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    band = _record_from_flags(PriceBand, floor=args.floor, ceiling=args.ceiling)
+    config = _record_from_flags(
+        SynthConfig,
+        band=band,
+        n_points=args.points,
+        hold_steps_mean=args.hold_mean,
+        step_scale=args.step_scale,
+        seed=args.seed,
+    )
     _write_output(args.out, [to_csv(synth_step_hold(config))])
     return 0
 
@@ -705,6 +704,11 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of standard output went away, as `| head` does.  The
+        # exit flush would fail again, so it goes to devnull instead.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except Exception as exc:  # pragma: no cover - defensive
         _log(_LOG_LEVELS["debug"], "internal error", exc_info=True)
         print(f"internal error: {exc}", file=sys.stderr)

@@ -204,12 +204,12 @@ def sweep(
             for (kp, ki, pre, post), summary in zip(cells, summaries)
         ]
     )
+    flags = pareto_flags([(m.success_rate, m.distance) for m in summaries])
     # A cell is (kp, ki, pre_delta, post_delta), SweepPoint's first fields.
-    points = [
-        SweepPoint(*cell, summary.success_rate, summary.distance, rr)
-        for cell, summary, (_, rr) in zip(cells, summaries, rationality)
+    return [
+        SweepPoint(*cell, summary.success_rate, summary.distance, rr, flag)
+        for cell, summary, (_, rr), flag in zip(cells, summaries, rationality, flags)
     ]
-    return pareto(points)
 
 
 def pareto_flags(points: Sequence[tuple[float, float]]) -> list[bool]:
@@ -239,9 +239,3 @@ def pareto_flags(points: Sequence[tuple[float, float]]) -> list[bool]:
             best_d = group_min_d
         i = j
     return flags
-
-
-def pareto(points: Sequence[SweepPoint]) -> list[SweepPoint]:
-    """Return the points with pareto_member set from (sr, d) domination."""
-    flags = pareto_flags([(p.success_rate, p.distance) for p in points])
-    return [p._replace(pareto_member=flag) for p, flag in zip(points, flags)]

@@ -117,17 +117,10 @@ class BidSeries(namedtuple("BidSeries", "strategy_name bids spec")):
     __slots__ = ()
 
 
-def initial_bid_default(band: PriceBand) -> float:
-    """Default first bid: half the band ceiling (the on-demand price)."""
-    return band.ceiling / 2
-
-
 def resolve_initial_bid(spec: StrategySpec, band: PriceBand) -> float:
-    return (
-        spec.initial_bid
-        if spec.initial_bid is not None
-        else initial_bid_default(band)
-    )
+    """The first bid: spec.initial_bid, or by default half the band ceiling
+    (the on-demand price)."""
+    return spec.initial_bid if spec.initial_bid is not None else band.ceiling / 2
 
 
 def validate_spec(

@@ -95,23 +95,11 @@ class PriceTrace:
 
 
 class TraceFilter(namedtuple(
-    "TraceFilter", "instance_type product zone time_range", defaults=(None,) * 4
+    "TraceFilter", "instance_type product zone", defaults=(None,) * 3
 )):
     """Record selection for the JSON parser; absent fields match everything."""
 
     __slots__ = ()
-
-    def __new__(cls, *args: object, **kwargs: object) -> TraceFilter:
-        self = super().__new__(cls, *args, **kwargs)
-        if self.time_range is not None:
-            start, end = self.time_range
-            if start.tzinfo is None or end.tzinfo is None:
-                raise ValueError("time_range bounds must be timezone-aware")
-            if start > end:
-                raise ValueError(f"time_range start {start} after end {end}")
-        return self
-
-    _make = classmethod(lambda cls, values: cls(*values))
 
 
 class SynthConfig(namedtuple(
@@ -403,7 +391,6 @@ def parse_aws_json(
     want_type = trace_filter.instance_type
     want_product = trace_filter.product
     want_zone = trace_filter.zone
-    time_range = trace_filter.time_range
     utc, epoch = timezone.utc, _EPOCH
     fromisoformat, isfinite = datetime.fromisoformat, math.isfinite
     kept: list[tuple[int, float, str, str, str]] = []
@@ -438,8 +425,6 @@ def parse_aws_json(
         if want_product is not None and product != want_product:
             continue
         if want_zone is not None and zone != want_zone:
-            continue
-        if time_range is not None and not time_range[0] <= ts <= time_range[1]:
             continue
         delta = ts - epoch
         append((delta.days * 86400 + delta.seconds, price, instance_type, product, zone))

@@ -20,7 +20,7 @@ def test_large_control_approaches_floor(band):
 
 
 def test_midpoint_exact(band):
-    assert sb.bid_from_control(0.0, band) == band.midpoint
+    assert sb.bid_from_control(0.0, band) == band.floor + band.width * 0.5
 
 
 def test_band_validation():

@@ -622,6 +622,32 @@ def test_log_level_env_output(tmp_path, value, expected):
     assert out.read_bytes() == (FIXTURES / "stephold_1001.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "--trace", TRACE],
+        ["synth", *BAND_ARGS],
+        ["sweep", "--trace", TRACE, *BAND_ARGS, "--kp", "1,10"],
+        ["backtest", "--trace", TRACE, *BAND_ARGS],
+        ["backtest", "--trace", TRACE, *BAND_ARGS, "--format", "csv"],
+    ],
+    ids=["ingest", "synth", "sweep", "backtest", "backtest-csv"],
+)
+def test_closed_stdout_exits_zero_quietly(argv):
+    # The read end is closed before the child starts, so its first write to
+    # standard output fails with EPIPE however fast either side runs.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "spotbid.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=cli_env(), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, 5e-324, 1e16, 0.1]
 JSON_FLOATS = st.floats() | st.sampled_from(SPECIAL_FLOATS)
 JSON_TEXT = st.text() | st.sampled_from(
@@ -837,3 +863,8 @@ def test_all_names_the_imported_public_api():
     assert all(not isinstance(getattr(sb, name), type(sb)) for name in sb.__all__)
     assert {"PriceTrace", "format_timestamp", "backtest", "DataError"} <= set(sb.__all__)
     assert not {"PricePoint", "trace", "engine"} & set(sb.__all__)
+    # Names that only the package's own code needs stay in their modules.
+    assert not {
+        "initial_bid_default", "pareto", "resolve_initial_bid", "validate_spec",
+        "STAT_KINDS", "TraceMeta", "StrategyResult",
+    } & set(dir(sb))

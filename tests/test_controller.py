@@ -45,13 +45,13 @@ def test_nonfinite_rejected(band):
 
 
 def test_sign_direction(band):
-    # positive error (price above bid) -> negative u -> bid above midpoint
+    # positive error (price above bid) -> negative u -> bid above the u = 0 bid
     u, _ = sb.step(sb.ControllerState(), 0.5, GAINS, band)
     assert u < 0
-    assert sb.bid_from_control(u, band) > band.midpoint
+    assert sb.bid_from_control(u, band) > sb.bid_from_control(0.0, band)
     u, _ = sb.step(sb.ControllerState(), -0.5, GAINS, band)
     assert u > 0
-    assert sb.bid_from_control(u, band) < band.midpoint
+    assert sb.bid_from_control(u, band) < sb.bid_from_control(0.0, band)
 
 
 @given(

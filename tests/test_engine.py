@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import spotbid as sb
+from spotbid.strategies import STAT_KINDS
 from conftest import make_trace
 
 
@@ -15,7 +16,7 @@ def specs_for(*kinds, mode=sb.StatMode.CAUSAL):
         sb.StrategySpec(
             kind=kind,
             gains=gains if kind is sb.StrategyKind.FEEDBACK else None,
-            stat_mode=mode if kind in sb.STAT_KINDS else None,
+            stat_mode=mode if kind in STAT_KINDS else None,
         )
         for kind in kinds
     ]

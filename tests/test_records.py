@@ -3,18 +3,18 @@ and every validation message."""
 import copy
 import math
 import pickle
-from datetime import datetime, timezone
 
 import pytest
 
 import spotbid as sb
+from spotbid.engine import StrategyResult, TraceMeta
+from spotbid.strategies import STAT_KINDS
 from conftest import make_trace
 
-UTC = timezone.utc
 BAND = sb.PriceBand(floor=0.5, ceiling=2.0)
 GAINS = sb.PiGains(kp=-1.0, ki=-2.0)
 FEEDBACK = sb.StrategySpec(kind=sb.StrategyKind.FEEDBACK, gains=GAINS)
-META = sb.TraceMeta(
+META = TraceMeta(
     instance_type="m", product="p", zone="z", start="a", end="b", n_points=2
 )
 SERIES = sb.BidSeries(strategy_name="feedback", bids=(1.0, 1.5, 1.25), spec=FEEDBACK)
@@ -63,7 +63,7 @@ RECORDS = [
         (0.5, 0.75, None),
     ),
     (
-        lambda: sb.TraceMeta(
+        lambda: TraceMeta(
             instance_type="m", product="p", zone="z", start="a", end="b", n_points=2
         ),
         "TraceMeta(instance_type='m', product='p', zone='z', start='a', end='b', "
@@ -71,7 +71,7 @@ RECORDS = [
         ("m", "p", "z", "a", "b", 2),
     ),
     (
-        lambda: sb.StrategyResult(name="feedback", series=SERIES, metrics=SUMMARY),
+        lambda: StrategyResult(name="feedback", series=SERIES, metrics=SUMMARY),
         f"StrategyResult(name='feedback', series={SERIES!r}, metrics={SUMMARY!r})",
         ("feedback", SERIES, SUMMARY),
     ),
@@ -94,8 +94,8 @@ RECORDS = [
     ),
     (
         lambda: sb.TraceFilter(),
-        "TraceFilter(instance_type=None, product=None, zone=None, time_range=None)",
-        (None, None, None, None),
+        "TraceFilter(instance_type=None, product=None, zone=None)",
+        (None, None, None),
     ),
     (
         lambda: sb.SynthConfig(band=BAND, n_points=3),
@@ -131,7 +131,7 @@ FIELDS = {
         "kp", "ki", "pre_delta", "post_delta", "success_rate", "distance",
         "relative_rationality", "pareto_member",
     ),
-    "TraceFilter": ("instance_type", "product", "zone", "time_range"),
+    "TraceFilter": ("instance_type", "product", "zone"),
     "SynthConfig": ("band", "n_points", "hold_steps_mean", "step_scale", "seed"),
     "PriceTrace": ("stamps", "price_column", "instance_type", "product", "zone"),
 }
@@ -205,7 +205,7 @@ def test_strategy_spec_defaults_stat_mode_for_the_statistic_kinds():
     for kind in sb.StrategyKind:
         gains = GAINS if kind is sb.StrategyKind.FEEDBACK else None
         spec = sb.StrategySpec(kind=kind, gains=gains)
-        expected = sb.StatMode.CAUSAL if kind in sb.STAT_KINDS else None
+        expected = sb.StatMode.CAUSAL if kind in STAT_KINDS else None
         assert spec.stat_mode is expected
     spec = sb.StrategySpec(kind=sb.StrategyKind.MEAN, stat_mode=sb.StatMode.FULL_TRACE)
     assert spec.stat_mode is sb.StatMode.FULL_TRACE
@@ -239,9 +239,6 @@ def test_synth_config_accepts_a_bare_band_pair():
     )
 
 
-NAIVE = datetime(2020, 1, 1)
-EARLY = datetime(2020, 1, 1, tzinfo=UTC)
-LATE = datetime(2020, 1, 2, tzinfo=UTC)
 NAN = math.nan
 FINITE_BAND = "band floor and ceiling must be finite"
 
@@ -334,14 +331,6 @@ INVALID = [
         "ki_magnitudes must be positive magnitudes",
     ),
     (
-        lambda: sb.TraceFilter(time_range=(NAIVE, LATE)),
-        "time_range bounds must be timezone-aware",
-    ),
-    (
-        lambda: sb.TraceFilter(time_range=(LATE, EARLY)),
-        "time_range start 2020-01-02 00:00:00+00:00 after end 2020-01-01 00:00:00+00:00",
-    ),
-    (
         lambda: sb.SynthConfig(band=BAND, n_points=0, hold_steps_mean=0),
         "n_points must be >= 1, got 0",
     ),
@@ -402,10 +391,6 @@ def test_replace_runs_the_checks_again():
         ),
         (FEEDBACK, {"gains": None}, "feedback strategy requires gains"),
         (config, {"ki_magnitudes": []}, "ki_magnitudes must be nonempty"),
-        (
-            sb.TraceFilter(), {"time_range": (NAIVE, NAIVE)},
-            "time_range bounds must be timezone-aware",
-        ),
         (synth, {"seed": -1}, "seed must be a 64-bit unsigned integer, got -1"),
     ]:
         with pytest.raises(ValueError) as info:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spotbid as sb
+from spotbid.strategies import STAT_KINDS, resolve_initial_bid, validate_spec
 from conftest import make_trace
 
 GAINS = sb.PiGains(kp=-10.0, ki=-10.0)
@@ -39,17 +40,20 @@ def spec_for(kind, mode=None, pre=0.0, post=0.0, initial=None):
 
 
 def test_initial_bid_default(band):
-    assert sb.initial_bid_default(band) == 1.300
-    assert sb.initial_bid_default(sb.PriceBand(0.5, 1.0)) == 0.5
+    spec = spec_for(sb.StrategyKind.ONDEMAND)
+    assert resolve_initial_bid(spec, band) == 1.300
+    assert resolve_initial_bid(spec, sb.PriceBand(0.5, 1.0)) == 0.5
+    assert resolve_initial_bid(spec_for(sb.StrategyKind.ONDEMAND, initial=0.7), band) == 0.7
 
 
 def test_default_initial_bid_below_floor_rejected():
     narrow = sb.PriceBand(0.6, 1.0)
-    assert sb.initial_bid_default(narrow) == 0.5  # the rule still says half ceiling
+    # the rule still says half ceiling
+    assert resolve_initial_bid(spec_for(sb.StrategyKind.ONDEMAND), narrow) == 0.5
     with pytest.raises(sb.UsageError, match="outside band"):
-        sb.validate_spec(spec_for(sb.StrategyKind.ONDEMAND), narrow)
+        validate_spec(spec_for(sb.StrategyKind.ONDEMAND), narrow)
     # an explicit in-band choice passes
-    sb.validate_spec(spec_for(sb.StrategyKind.ONDEMAND, initial=0.7), narrow)
+    validate_spec(spec_for(sb.StrategyKind.ONDEMAND, initial=0.7), narrow)
 
 
 def test_spec_structural_invariants():
@@ -65,11 +69,11 @@ def test_spec_structural_invariants():
 
 def test_gain_sign_policy(band):
     fb = spec_for(sb.StrategyKind.FEEDBACK)
-    sb.validate_spec(fb, band)
+    validate_spec(fb, band)
     positive = sb.StrategySpec(kind=sb.StrategyKind.FEEDBACK, gains=sb.PiGains(10.0, 10.0))
     with pytest.raises(sb.UsageError, match="negative"):
-        sb.validate_spec(positive, band)
-    sb.validate_spec(positive, band, require_negative_gains=False)
+        validate_spec(positive, band)
+    validate_spec(positive, band, require_negative_gains=False)
 
 
 def test_feedback_single_step_derived_example(band):
@@ -185,9 +189,9 @@ def test_pre_delta_only_feeds_the_controller(band):
 def test_corrective_direction_single_step(band):
     trace = make_trace([1.5])
     below = spec_for(sb.StrategyKind.FEEDBACK, initial=0.9)  # bid below the price
-    assert sb.run_strategy(below, trace, band).bids[1] > band.midpoint
+    assert sb.run_strategy(below, trace, band).bids[1] > sb.bid_from_control(0.0, band)
     above = spec_for(sb.StrategyKind.FEEDBACK, initial=2.0)  # bid above the price
-    assert sb.run_strategy(above, trace, band).bids[1] < band.midpoint
+    assert sb.run_strategy(above, trace, band).bids[1] < sb.bid_from_control(0.0, band)
 
 
 @given(
@@ -201,7 +205,7 @@ def test_corrective_direction_single_step(band):
 )
 def test_band_safety_and_determinism(prices, kind, mode):
     band = sb.PriceBand(floor=0.256, ceiling=2.600)
-    spec = spec_for(kind, mode=mode if kind in sb.STAT_KINDS else None)
+    spec = spec_for(kind, mode=mode if kind in STAT_KINDS else None)
     trace = make_trace(prices)
     series = sb.run_strategy(spec, trace, band)
     assert len(series.bids) == len(prices) + 1
@@ -240,7 +244,7 @@ def reference_replay(spec, prices, band):
     """
     kind, post = spec.kind, spec.adjustments.post_delta
     fulltrace = spec.stat_mode is sb.StatMode.FULL_TRACE
-    sb.validate_spec(spec, band, require_negative_gains=False)
+    validate_spec(spec, band, require_negative_gains=False)
     if kind is sb.StrategyKind.ONDEMAND:
         first = band.ceiling
     elif fulltrace and kind is sb.StrategyKind.MINIMUM:
@@ -250,7 +254,7 @@ def reference_replay(spec, prices, band):
     elif fulltrace:
         first = band.clamp(sum(prices) / len(prices) + post)
     else:
-        first = sb.resolve_initial_bid(spec, band)
+        first = resolve_initial_bid(spec, band)
     bids = [first]
     state = sb.ControllerState()
     running_min = running_max = None
@@ -323,7 +327,7 @@ def replay_specs(draw):
             st.none() | st.floats(REFERENCE_BAND.floor, REFERENCE_BAND.ceiling)
         ),
         stat_mode=(
-            draw(st.sampled_from(list(sb.StatMode))) if kind in sb.STAT_KINDS else None
+            draw(st.sampled_from(list(sb.StatMode))) if kind in STAT_KINDS else None
         ),
     )
 

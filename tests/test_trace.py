@@ -402,23 +402,6 @@ def test_parse_aws_json_tie_stability():
     assert trace.prices() == (0.5, 1.0, 2.0)  # sort stable on the tie
 
 
-def test_parse_aws_json_time_range():
-    import json
-
-    records = [
-        _record("2015-05-03T00:00:00Z", price="0.5"),
-        _record("2015-05-03T01:00:00Z", price="1.0"),
-        _record("2015-05-03T02:00:00Z", price="2.0"),
-    ]
-    window = sb.TraceFilter(
-        time_range=(
-            datetime(2015, 5, 3, 0, 30, tzinfo=timezone.utc),
-            datetime(2015, 5, 3, 1, 30, tzinfo=timezone.utc),
-        )
-    )
-    assert sb.parse_aws_json(json.dumps(records), window).prices() == (1.0,)
-
-
 def test_parse_aws_json_errors():
     import json
 
@@ -469,10 +452,6 @@ def reference_parse_aws_json(
             continue
         if trace_filter.zone is not None and zone != trace_filter.zone:
             continue
-        if trace_filter.time_range is not None:
-            start, end = trace_filter.time_range
-            if not start <= ts <= end:
-                continue
         kept.append((ts, price, instance_type, product, zone))
     if not kept:
         raise sb.DataError("zero records after filtering")
@@ -553,8 +532,6 @@ AWS_FILTERS = st.builds(
     instance_type=st.sampled_from([None, None, "g2.8xlarge", "5"]),
     product=st.sampled_from([None, None, "Linux/UNIX", "5"]),
     zone=st.sampled_from([None, None, "us-east-1b", "5"]),
-    time_range=st.sampled_from([None, None, None])
-    | st.lists(AWS_INSTANTS, min_size=2, max_size=2).map(lambda pair: tuple(sorted(pair))),
 )
 
 
@@ -584,13 +561,10 @@ def _aws_outcome(parse, raw, trace_filter):
     trace_filter=sb.TraceFilter(),
     wrapped=False,
 )
-@example(  # labels compared as str(); stamps on both ends of the time range
+@example(  # labels compared as str()
     records=[dict(_record(f"2020-01-01T0{hour}:00:00Z"), InstanceType=5) for hour in range(4)],
     odd=[],
-    trace_filter=sb.TraceFilter(
-        instance_type="5",
-        time_range=(datetime(2020, 1, 1, 1, tzinfo=timezone.utc), datetime(2020, 1, 1, 2, tzinfo=timezone.utc)),
-    ),
+    trace_filter=sb.TraceFilter(instance_type="5"),
     wrapped=True,
 )
 @example(
@@ -612,13 +586,6 @@ def test_parse_aws_json_matches_reference_loop(records, odd, trace_filter, wrapp
     assert _aws_outcome(sb.parse_aws_json, raw, trace_filter) == _aws_outcome(
         reference_parse_aws_json, raw, trace_filter
     )
-
-
-def test_trace_filter_validation():
-    with pytest.raises(ValueError):
-        sb.TraceFilter(time_range=(EPOCH + timedelta(days=1), EPOCH))
-    with pytest.raises(ValueError):
-        sb.TraceFilter(time_range=(datetime(2020, 1, 1), datetime(2020, 1, 2)))
 
 
 def test_synth_deterministic(band):
