@@ -532,11 +532,26 @@ def _read_bytes(path_text: str) -> bytes:
         raise DataError(f"cannot read {path_text}: {exc}") from None
 
 
+def _stdout_to_devnull() -> None:
+    """Point standard output's descriptor at os.devnull.  Whatever its
+    buffer still holds is then flushed there at exit, where a write that
+    failed once would fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def _write_output(path: str | None, pieces: Iterable[str]) -> None:
     """Write the pieces in order to path, or to standard output."""
     if path is None or path == "-":
-        sys.stdout.writelines(pieces)
-        sys.stdout.flush()  # a closed reader fails here, not at exit
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()  # a write error shows here, not at exit
+        except BrokenPipeError:
+            raise  # the reader went away; main exits 0
+        except OSError as exc:  # a full disk, say
+            _stdout_to_devnull()
+            raise DataError(f"cannot write standard output: {exc}") from None
         return
     try:
         with open(path, "w", encoding="utf-8") as file:
@@ -705,9 +720,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # The reader of standard output went away, as `| head` does.  The
-        # exit flush would fail again, so it goes to devnull instead.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # The reader of standard output went away, as `| head` does.
+        _stdout_to_devnull()
         return 0
     except Exception as exc:  # pragma: no cover - defensive
         _log(_LOG_LEVELS["debug"], "internal error", exc_info=True)

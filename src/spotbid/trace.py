@@ -19,7 +19,7 @@ import json
 import math
 from collections import namedtuple
 from datetime import date, datetime, timezone
-from itertools import islice
+from itertools import count, islice
 from operator import attrgetter, itemgetter, lt
 
 from .band_model import PriceBand
@@ -39,6 +39,10 @@ _AWS_FIELDS = (
     "ProductDescription",
     "AvailabilityZone",
 )
+
+# What _record_check's check returns for a record the filter drops: false,
+# and a tuple, which JSON never yields.
+_SKIPPED = ()
 
 TracePoint = namedtuple("TracePoint", ("timestamp", "price"))
 
@@ -348,54 +352,24 @@ def _aws_record(
     return ts, price, instance_type, product, zone
 
 
-def parse_aws_json(
-    raw: bytes | str, trace_filter: TraceFilter = TraceFilter()
-) -> PriceTrace:
-    """Parse a spot-price-history JSON export, filter, and sort by time.
+def _record_check(trace_filter: TraceFilter):
+    """check(rec, idx=None): one record as the tuple
+    (stamp, price, instance_type, product, zone) if the filter keeps it, or
+    _SKIPPED if it drops it.
 
-    Accepts either a top-level array of records or an object with a
-    `SpotPriceHistory` array.  Records matching every present filter field
-    are kept and sorted by timestamp ascending, ties preserving input order.
-    Every record is checked, kept or not; only a kept one has its stamp
-    converted to epoch seconds.
-
-    Each record is first checked inline, as parse_csv checks a row: five
-    str fields, the stamp straight to fromisoformat, an aware stamp converted
-    to UTC, then whole seconds and a finite non-negative price.  A record
-    that fails any step is checked again by _aws_record, which runs the
-    helpers in the original order.  It decides whether the record is
-    accepted after all (a padded stamp, a non-str label) and, if not, words
-    the error, so the first bad record and its message are the same as when
-    every record went through it.
+    The record is first checked inline, as parse_csv checks a row: five
+    str fields, the stamp straight to fromisoformat, an aware stamp
+    converted to UTC, then whole seconds and a finite non-negative price.
+    A record that fails any step is returned as it is when idx is None.
+    Otherwise _aws_record checks it again with the helpers, in the original
+    order: it decides whether the record is accepted after all (a padded
+    stamp, a non-str label) and, if not, words the error as record idx.
     """
-    # The input bytes and the decoded text are each as large as the file.
-    # Each is freed as soon as the next form exists, which lowers the peak
-    # memory: the bytes once decoded (if the caller holds no other reference,
-    # as when the CLI passes them straight in), the text once parsed.
-    text = _decode(raw)
-    del raw
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-        raise DataError(f"invalid JSON: {exc}") from None
-    del text
-    if isinstance(doc, dict):
-        records = doc.get("SpotPriceHistory")
-        if records is None:
-            raise DataError("JSON object lacks a 'SpotPriceHistory' array")
-    else:
-        records = doc
-    if not isinstance(records, list):
-        raise DataError("expected an array of spot-price records")
-
-    want_type = trace_filter.instance_type
-    want_product = trace_filter.product
-    want_zone = trace_filter.zone
+    want_type, want_product, want_zone = trace_filter
     utc, epoch = timezone.utc, _EPOCH
     fromisoformat, isfinite = datetime.fromisoformat, math.isfinite
-    kept: list[tuple[int, float, str, str, str]] = []
-    append = kept.append
-    for idx, rec in enumerate(records):
+
+    def check(rec: object, idx: int | None = None) -> object:
         try:
             stamp = rec["Timestamp"]
             spot = rec["SpotPrice"]
@@ -419,15 +393,73 @@ def parse_aws_json(
             ):
                 raise ValueError
         except (KeyError, TypeError, ValueError, OverflowError):
+            if idx is None:
+                return rec
             ts, price, instance_type, product, zone = _aws_record(rec, f"record {idx}")
         if want_type is not None and instance_type != want_type:
-            continue
+            return _SKIPPED
         if want_product is not None and product != want_product:
-            continue
+            return _SKIPPED
         if want_zone is not None and zone != want_zone:
-            continue
+            return _SKIPPED
         delta = ts - epoch
-        append((delta.days * 86400 + delta.seconds, price, instance_type, product, zone))
+        return delta.days * 86400 + delta.seconds, price, instance_type, product, zone
+
+    return check
+
+
+def parse_aws_json(
+    raw: bytes | str, trace_filter: TraceFilter = TraceFilter()
+) -> PriceTrace:
+    """Parse a spot-price-history JSON export, filter, and sort by time.
+
+    Accepts either a top-level array of records or an object with a
+    `SpotPriceHistory` array.  Records matching every present filter field
+    are kept and sorted by timestamp ascending, ties preserving input order.
+    Every record is checked, kept or not; only a kept one has its stamp
+    converted to epoch seconds.
+
+    The text is decoded in one or two passes.  The first hands every JSON
+    object to _record_check's check as the decoder builds it, so a record's
+    dict and strings are freed at once and only the kept tuples stay.  If
+    every record passed the inline check, that is the result.  Otherwise
+    (a padded or "z" stamp, a non-str label, a bad record, an unusual
+    document shape, or a document the first pass could not decode) the text
+    is decoded again without the hook, and each record goes through check
+    with its index, so the first bad record and its message are the same as
+    when every record went through the helpers.  JSON never yields a tuple,
+    so a document cannot pass for checked records.
+    """
+    # The input bytes and the decoded text are each as large as the file.
+    # Each is freed as soon as it is no longer read, which lowers the peak
+    # memory: the bytes once decoded (if the caller holds no other reference,
+    # as when the CLI passes them straight in), the text after its last pass.
+    text = _decode(raw)
+    del raw
+    check = _record_check(trace_filter)
+    try:
+        doc = json.loads(text, object_hook=check)
+    except (json.JSONDecodeError, RecursionError):
+        doc = None  # the second pass words the error
+    records = doc.get("SpotPriceHistory") if type(doc) is dict else doc
+    if not (type(records) is list and set(map(type, records)) <= {tuple}):
+        del doc, records  # before the second pass builds the whole document
+        try:
+            doc = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+            raise DataError(f"invalid JSON: {exc}") from None
+        if isinstance(doc, dict):
+            records = doc.get("SpotPriceHistory")
+            if records is None:
+                raise DataError("JSON object lacks a 'SpotPriceHistory' array")
+        else:
+            records = doc
+        if not isinstance(records, list):
+            raise DataError("expected an array of spot-price records")
+        records = map(check, records, count())
+    del text
+    kept = list(filter(None, records))  # drops each _SKIPPED
+    del doc, records
     if not kept:
         raise DataError("zero records after filtering")
 
@@ -436,9 +468,9 @@ def parse_aws_json(
     return PriceTrace(
         stamps,
         prices,
-        instance_type=want_type or _common_label(types),
-        product=want_product or _common_label(products),
-        zone=want_zone or _common_label(zones),
+        instance_type=trace_filter.instance_type or _common_label(types),
+        product=trace_filter.product or _common_label(products),
+        zone=trace_filter.zone or _common_label(zones),
     )
 
 

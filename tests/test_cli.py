@@ -648,6 +648,35 @@ def test_closed_stdout_exits_zero_quietly(argv):
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "--trace", TRACE],
+        ["synth", *BAND_ARGS, "--points", "5"],
+        ["sweep", "--trace", TRACE, *BAND_ARGS, "--kp", "1,10"],
+        ["backtest", "--trace", TRACE, *BAND_ARGS],
+    ],
+    ids=["ingest", "synth", "sweep", "backtest"],
+)
+def test_full_stdout_is_a_data_error(argv):
+    # Every write to /dev/full fails with ENOSPC.  The run exits 2 with one
+    # error line, as --out on a full disk does, and the interpreter's exit
+    # flush of the unwritten buffer fails no second time.
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "spotbid.cli", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=60,
+        )
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert [line for line in lines if line.startswith("error: ")] == [
+        "error: cannot write standard output: [Errno 28] No space left on device"
+    ]
+    assert "Exception ignored" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, 5e-324, 1e16, 0.1]
 JSON_FLOATS = st.floats() | st.sampled_from(SPECIAL_FLOATS)
 JSON_TEXT = st.text() | st.sampled_from(

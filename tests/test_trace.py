@@ -4,6 +4,7 @@ import io
 import json
 import tracemalloc
 from datetime import datetime, timedelta, timezone
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -429,7 +430,14 @@ def reference_parse_aws_json(
     It keeps the helpers' datetimes and converts them to seconds at the end.
     """
     doc = json.loads(raw)
-    records = doc["SpotPriceHistory"] if isinstance(doc, dict) else doc
+    if isinstance(doc, dict):
+        if doc.get("SpotPriceHistory") is None:
+            raise sb.DataError("JSON object lacks a 'SpotPriceHistory' array")
+        records = doc["SpotPriceHistory"]
+    else:
+        records = doc
+    if not isinstance(records, list):
+        raise sb.DataError("expected an array of spot-price records")
     kept = []
     for idx, rec in enumerate(records):
         where = f"record {idx}"
@@ -586,6 +594,137 @@ def test_parse_aws_json_matches_reference_loop(records, odd, trace_filter, wrapp
     assert _aws_outcome(sb.parse_aws_json, raw, trace_filter) == _aws_outcome(
         reference_parse_aws_json, raw, trace_filter
     )
+
+
+AWS_CLEAN = [
+    _record("2020-01-01T00:02:00Z", price="1.5"),
+    _record("2020-01-01T00:01:00Z", price="2.5", zone="us-east-1c"),
+    _record("2020-01-01T00:00:00Z", price="0.5", instance="m3.medium"),
+]
+AWS_NESTED = _record("2020-01-01T00:03:00Z", price="9.5")
+
+
+def _wrapped(records, **fields):
+    return json.dumps({"SpotPriceHistory": records, **fields})
+
+
+# Documents where an object that a record check accepts sits somewhere other
+# than in the record array, or the array is not what it seems.
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps([*AWS_CLEAN, dict(AWS_CLEAN[0], Timestamp=AWS_NESTED)]),
+        json.dumps([dict(AWS_CLEAN[0], InstanceType=AWS_NESTED)]),  # read with str()
+        json.dumps([*AWS_CLEAN, dict(AWS_CLEAN[0], InstanceType=AWS_NESTED)]),
+        json.dumps([dict(AWS_CLEAN[0], Extra=AWS_NESTED), *AWS_CLEAN[1:]]),
+        _wrapped(AWS_CLEAN, **AWS_NESTED),
+        _wrapped(AWS_CLEAN, **AWS_CLEAN[1]),
+        json.dumps(AWS_NESTED),
+        json.dumps(AWS_CLEAN[1]),
+        _wrapped(AWS_NESTED),
+        '{"SpotPriceHistory": [%s], "SpotPriceHistory": %s}'
+        % (json.dumps(_record("yesterday")), json.dumps(AWS_CLEAN)),
+        '{"SpotPriceHistory": %s, "SpotPriceHistory": [%s]}'
+        % (json.dumps(AWS_CLEAN), json.dumps(_record("yesterday"))),
+        json.dumps([*AWS_CLEAN, [AWS_NESTED]]),
+        json.dumps([[]]),
+    ],
+    ids=[
+        "record-as-timestamp", "record-as-instance-type", "record-as-instance-type-mixed",
+        "record-under-extra-key", "wrapper-is-a-record", "wrapper-is-a-filtered-record",
+        "lone-record", "lone-filtered-record", "record-as-array", "duplicate-array-key",
+        "duplicate-array-key-last-bad", "list-holding-a-record", "list-holding-a-list",
+    ],
+)
+@pytest.mark.parametrize(
+    "trace_filter", [sb.TraceFilter(), sb.TraceFilter(zone="us-east-1b")], ids=["all", "zone"]
+)
+def test_parse_aws_json_edge_documents_match_reference_loop(text, trace_filter):
+    raw = text.encode()
+    assert _aws_outcome(sb.parse_aws_json, raw, trace_filter) == _aws_outcome(
+        reference_parse_aws_json, raw, trace_filter
+    )
+
+
+@pytest.mark.parametrize(
+    "records, decodes",
+    [
+        (AWS_CLEAN, 1),
+        ([*AWS_CLEAN, _record(" 2020-01-01T00:03:00Z ")], 2),  # padded: helpers accept it
+        ([*AWS_CLEAN, _record("2020-01-01T00:03:00z")], 2),
+        ([*AWS_CLEAN, dict(_record("2020-01-01T00:03:00Z"), InstanceType=5)], 2),
+        ([*AWS_CLEAN, _record("yesterday")], 2),
+    ],
+    ids=["clean", "padded-stamp", "z-stamp", "int-label", "bad-record"],
+)
+def test_parse_aws_json_decodes_again_only_off_the_fast_path(monkeypatch, records, decodes):
+    calls = []
+
+    def loads(*args, **kwargs):
+        calls.append(kwargs)
+        return json.loads(*args, **kwargs)
+
+    spy = SimpleNamespace(loads=loads, JSONDecodeError=json.JSONDecodeError)
+    monkeypatch.setattr(sb.trace, "json", spy)
+    raw = _wrapped(records).encode()
+    expected = _aws_outcome(reference_parse_aws_json, raw, sb.TraceFilter())
+    assert _aws_outcome(sb.parse_aws_json, raw, sb.TraceFilter()) == expected
+    assert len(calls) == decodes
+    assert "object_hook" in calls[0]
+
+
+def _aws_history_bytes(stamp_suffix):
+    """20k records of four markets, newest first, as the export lists them."""
+    markets = [("c4.xlarge", "us-east-1a"), ("c4.xlarge", "us-east-1b"),
+               ("g2.8xlarge", "us-east-1a"), ("g2.8xlarge", "us-east-1b")]
+    history = [
+        _record(
+            sb.format_timestamp(1577836800 - 60 * i)[:-1] + stamp_suffix,
+            price=f"{0.256 + (i % 997) / 997 * 2.3:.6f}",
+            instance=markets[i % 4][0],
+            zone=markets[i % 4][1],
+        )
+        for i in range(20_000)
+    ]
+    return _wrapped(history).encode()
+
+
+def _traced_peak(function, *args):
+    """The rise of the traced memory peak during function(*args), and its result."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = function(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - base, result
+
+
+AWS_KEPT_MARKET = sb.TraceFilter(instance_type="g2.8xlarge", zone="us-east-1b")
+
+
+def test_parse_aws_json_peak_memory_stays_near_the_input_size():
+    # A clean document is checked record by record as it is decoded, so
+    # only the text and the kept records are alive at once, not a dict per
+    # record: the peak read 1.5 times the input size, and 4.0 times when the
+    # whole document was decoded before any record was checked.
+    raw = _aws_history_bytes(".000Z")
+    peak, trace = _traced_peak(sb.parse_aws_json, raw, AWS_KEPT_MARKET)
+    assert len(trace) == 5_000
+    assert peak < 2.5 * len(raw)
+
+
+def test_parse_aws_json_second_pass_peaks_as_one_whole_decode():
+    # Every "z" stamp fails the inline check, so the text is decoded twice.
+    # The first pass's document is freed before the second is built: the
+    # peak stays near that of decoding the whole document once, plus the
+    # kept records, and not two documents (about 7 times the input size).
+    raw = _aws_history_bytes("z")
+    whole, _ = _traced_peak(lambda: json.loads(raw.decode()))
+    peak, trace = _traced_peak(sb.parse_aws_json, raw, AWS_KEPT_MARKET)
+    assert len(trace) == 5_000
+    assert peak < whole + 0.5 * len(raw)
 
 
 def test_synth_deterministic(band):
