@@ -1,6 +1,7 @@
 """Shared fixtures and trace-building helpers."""
 from __future__ import annotations
 
+import os
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -25,6 +26,17 @@ def make_trace(prices, start=EPOCH, spacing_minutes=1, **meta) -> sb.PriceTrace:
     first, step = epoch_seconds(start), 60 * spacing_minutes
     stamps = tuple(first + step * i for i in range(len(prices)))
     return sb.PriceTrace(stamps, prices, **meta)
+
+
+def cli_env(**overrides):
+    """The environment with src first on PYTHONPATH, SPOTBID_LOG unset,
+    then the overrides."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env.pop("SPOTBID_LOG", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    env.update(overrides)
+    return env
 
 
 def make_series(bids, name="test", kind=sb.StrategyKind.ONDEMAND) -> sb.BidSeries:

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -20,7 +19,7 @@ from spotbid.cli import (
     report_to_obj,
     trace_to_json,
 )
-from conftest import FIXTURES, make_trace
+from conftest import FIXTURES, cli_env, make_trace
 
 BAND_ARGS = ["--floor", "0.256", "--ceiling", "2.600"]
 TRACE = str(FIXTURES / "stephold_1001.csv")
@@ -578,17 +577,6 @@ def test_log_level_env(tmp_path, monkeypatch, capsys):
     assert run(["ingest", "--trace", TRACE, "--out", str(tmp_path / "t2.csv")]) == 0
 
 
-def cli_env(**overrides):
-    """The environment with src first on PYTHONPATH, SPOTBID_LOG unset,
-    then the overrides."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env.pop("SPOTBID_LOG", None)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    env.update(overrides)
-    return env
-
-
 INFO_LINES = (
     f"INFO spotbid: parsing CSV trace {TRACE}\n"
     "INFO spotbid: ingested 1001 points\n"
@@ -856,8 +844,9 @@ def test_trace_to_json_matches_json_dumps_indent(rows, label):
 
 
 def test_import_leaves_concurrent_futures_unloaded(tmp_path):
-    # Nothing uses a thread pool, only a log record needs logging and only
-    # synth needs random; plain runs pay for none of these imports,
+    # Nothing uses a thread or process pool (a large sweep forks with os
+    # alone), only a log record needs logging and only synth needs random;
+    # plain runs pay for none of these imports,
     # nor for dataclasses and the inspect module it pulls in, nor for
     # pathlib.  site may import typing, pathlib and random before spotbid
     # loads (a .pth file can), so pathlib and random are checked only in a
@@ -877,7 +866,7 @@ def test_import_leaves_concurrent_futures_unloaded(tmp_path):
             "--out", str(tmp_path / "s.json"),
         ],
     ]
-    unwanted = ["concurrent.futures", "dataclasses", "inspect", "logging"]
+    unwanted = ["concurrent.futures", "dataclasses", "inspect", "logging", "multiprocessing"]
     for flags, names in [([], unwanted), (["-S"], unwanted + ["pathlib", "random"])]:
         proc = subprocess.run(
             [sys.executable, *flags, "-c", code, json.dumps([names, runs])],
