@@ -112,13 +112,15 @@ def _add_band_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
+def _add_output_flags(parser: argparse.ArgumentParser, *formats: str) -> None:
+    """--out, and --format when formats are given; the first is the default."""
     parser.add_argument(
         "--out", metavar="PATH", help="output path (default: standard output)"
     )
-    parser.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="output format"
-    )
+    if formats:
+        parser.add_argument(
+            "--format", choices=formats, default=formats[0], help="output format"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,15 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ingest", help="parse, filter, validate, and normalize a price trace"
     )
     _add_input_flags(ingest)
-    ingest.add_argument(
-        "--out", metavar="PATH", help="output path (default: standard output)"
-    )
-    ingest.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        default="csv",
-        help="normalized trace format",
-    )
+    _add_output_flags(ingest, "csv", "json")
     ingest.set_defaults(handler=_cmd_ingest)
 
     bt = commands.add_parser(
@@ -188,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_finite_float,
         help="first standing bid (default: half the ceiling)",
     )
-    _add_output_flags(bt)
+    _add_output_flags(bt, "json", "csv")
     bt.add_argument(
         "--plot-dir",
         metavar="PATH",
@@ -242,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_finite_float,
         help="first standing bid (default: half the ceiling)",
     )
-    _add_output_flags(sw)
+    _add_output_flags(sw, "json", "csv")
     sw.set_defaults(handler=_cmd_sweep)
 
     sy = commands.add_parser(
@@ -265,9 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="maximum jump magnitude between levels",
     )
     sy.add_argument("--seed", type=int, default=0, help="generator seed")
-    sy.add_argument(
-        "--out", metavar="PATH", help="output path (default: standard output)"
-    )
+    _add_output_flags(sy)
     sy.set_defaults(handler=_cmd_synth)
 
     return parser

@@ -11,7 +11,7 @@ import os
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
-from itertools import product
+from itertools import groupby, product
 
 from . import metrics
 from .band_model import PriceBand
@@ -270,8 +270,9 @@ def _score_forked(
     a forked child each of the others.
 
     A child that cannot start, fails or sends the wrong number of bytes has
-    its share scored again here, which raises the serial DataError.  Every
-    child is read to EOF and reaped before this returns or raises.
+    its share scored again here, which raises the serial DataError.  If the
+    first share raises, every child is killed.  Every child is read to EOF
+    and reaped before this returns or raises.
     """
     from array import array  # loaded only by a sweep that forks
 
@@ -281,7 +282,15 @@ def _score_forked(
     try:
         for part in parts[1:]:
             children.append(_fork_scorer(part, trace, config))
-        summaries = _score_cells(parts[0], trace, config)
+        try:
+            summaries = _score_cells(parts[0], trace, config)
+        except BaseException:
+            # The first error in cell order: no child's result is needed.
+            import signal
+
+            for child in filter(None, children):
+                os.kill(child[0], signal.SIGKILL)
+            raise
     finally:
         payloads = [_reap(child) for child in children]
     for part, payload in zip(parts[1:], payloads):
@@ -356,18 +365,12 @@ def pareto_flags(points: Sequence[tuple[float, float]]) -> list[bool]:
     order = sorted(range(len(points)), key=lambda i: (-points[i][0], points[i][1]))
     flags = [False] * len(points)
     best_d = math.inf  # smallest distance seen at strictly higher success rates
-    i = 0
-    while i < len(order):
-        j = i
-        sr = points[order[i]][0]
-        while j < len(order) and points[order[j]][0] == sr:
-            j += 1
-        group = order[i:j]
-        group_min_d = min(points[k][1] for k in group)
+    for _, group in groupby(order, key=lambda i: points[i][0]):
+        group = list(group)
+        group_min_d = points[group[0]][1]  # the order sorts a group by distance
         if group_min_d < best_d:
             for k in group:
                 if points[k][1] == group_min_d:
                     flags[k] = True
             best_d = group_min_d
-        i = j
     return flags

@@ -19,7 +19,7 @@ import json
 import math
 from collections import namedtuple
 from datetime import date, datetime, timezone
-from itertools import count, islice
+from itertools import islice
 from operator import attrgetter, itemgetter, lt
 
 from .band_model import PriceBand
@@ -344,6 +344,9 @@ def _aws_record(
     spot = rec["SpotPrice"]
     if not isinstance(spot, str):
         raise DataError(f"{where}: SpotPrice must be quoted decimal text")
+    for key in _AWS_FIELDS:  # a tuple is a nested record the hooked decode checked
+        if isinstance(rec[key], (dict, list, tuple)):
+            raise DataError(f"{where}: {key} must not be an object or array")
     ts = _parse_timestamp(str(rec["Timestamp"]), where)
     price = _parse_price(spot, where)
     instance_type = str(rec["InstanceType"])
@@ -360,10 +363,10 @@ def _record_check(trace_filter: TraceFilter):
     The record is first checked inline, as parse_csv checks a row: five
     str fields, the stamp straight to fromisoformat, an aware stamp
     converted to UTC, then whole seconds and a finite non-negative price.
-    A record that fails any step is returned as it is when idx is None.
-    Otherwise _aws_record checks it again with the helpers, in the original
-    order: it decides whether the record is accepted after all (a padded
-    stamp, a non-str label) and, if not, words the error as record idx.
+    A record that fails any step is returned as it is when idx is None, so
+    the decode leaves it in place.  Otherwise _aws_record checks it again
+    with the helpers, in the original order: it accepts a padded or "z"
+    stamp and a scalar label, and words any error as record idx.
     """
     want_type, want_product, want_zone = trace_filter
     utc, epoch = timezone.utc, _EPOCH
@@ -419,45 +422,42 @@ def parse_aws_json(
     Every record is checked, kept or not; only a kept one has its stamp
     converted to epoch seconds.
 
-    The text is decoded in one or two passes.  The first hands every JSON
-    object to _record_check's check as the decoder builds it, so a record's
-    dict and strings are freed at once and only the kept tuples stay.  If
-    every record passed the inline check, that is the result.  Otherwise
-    (a padded or "z" stamp, a non-str label, a bad record, an unusual
-    document shape, or a document the first pass could not decode) the text
-    is decoded again without the hook, and each record goes through check
-    with its index, so the first bad record and its message are the same as
-    when every record went through the helpers.  JSON never yields a tuple,
-    so a document cannot pass for checked records.
+    The text is decoded once, and the decoder hands every JSON object to
+    _record_check's check as it builds it, so a record's dict and strings
+    are freed at once and only the kept tuples stay.  A record the inline
+    check declines stays a dict where the decoder left it; once the shape
+    of the document is checked, it goes through check with its index, so
+    the first bad record and its message are the helpers'.  JSON never
+    yields a tuple, so a tuple in the array is a checked record.  Only a
+    hooked decode that raised or yielded a tuple (the top-level object
+    passed as a record) is followed by a plain decode, without the hook.
     """
     # The input bytes and the decoded text are each as large as the file.
     # Each is freed as soon as it is no longer read, which lowers the peak
     # memory: the bytes once decoded (if the caller holds no other reference,
-    # as when the CLI passes them straight in), the text after its last pass.
+    # as when the CLI passes them straight in), the text once decoded.
     text = _decode(raw)
     del raw
     check = _record_check(trace_filter)
     try:
         doc = json.loads(text, object_hook=check)
     except (json.JSONDecodeError, RecursionError):
-        doc = None  # the second pass words the error
-    records = doc.get("SpotPriceHistory") if type(doc) is dict else doc
-    if not (type(records) is list and set(map(type, records)) <= {tuple}):
-        del doc, records  # before the second pass builds the whole document
+        doc = _SKIPPED  # a tuple: the plain decode, which nests less deep, runs
+    if type(doc) is tuple:
         try:
             doc = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise DataError(f"invalid JSON: {exc}") from None
-        if isinstance(doc, dict):
-            records = doc.get("SpotPriceHistory")
-            if records is None:
-                raise DataError("JSON object lacks a 'SpotPriceHistory' array")
-        else:
-            records = doc
-        if not isinstance(records, list):
-            raise DataError("expected an array of spot-price records")
-        records = map(check, records, count())
     del text
+    records = doc.get("SpotPriceHistory") if type(doc) is dict else doc
+    if type(doc) is dict and records is None:
+        raise DataError("JSON object lacks a 'SpotPriceHistory' array")
+    if not isinstance(records, list):
+        raise DataError("expected an array of spot-price records")
+    if not set(map(type, records)) <= {tuple}:
+        for idx, rec in enumerate(records):
+            if type(rec) is not tuple:
+                records[idx] = check(rec, idx)
     kept = list(filter(None, records))  # drops each _SKIPPED
     del doc, records
     if not kept:

@@ -1,4 +1,7 @@
 """Command-line behaviour: exit codes, formats, plot data, determinism."""
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,13 +10,14 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spotbid as sb
 from spotbid.cli import (
     _bids_json,
     _json,
+    build_parser,
     main,
     render_report,
     report_to_obj,
@@ -663,6 +667,109 @@ def test_full_stdout_is_a_data_error(argv):
     ]
     assert "Exception ignored" not in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# ------------------------------------------------ no argv reaches exit 3
+
+FUZZ_FLOATS = ["nan", "inf", "-inf", "-0.0", "0", "1e308", "5e-324", "", "x", "-1", "1", "10"]
+FUZZ_BAND = ["0.256", "2.6", "1", "nan", "inf", "-inf", "-0.0", "0", "1e308", "5e-324", ""]
+# At most 3 values each, so a sweep holds at most 81 cells of 50 steps, far
+# below engine.FORK_MIN_CELL_STEPS: the gate never forks.
+FUZZ_LISTS = FUZZ_FLOATS + ["1,,2", "1,1", "10,1,10", "0.5,1,2", ",", "nan,1", "1e308,1", "-0.0,0"]
+FUZZ_LABELS = ["c4.xlarge", "us-east-1b", "Linux/UNIX", "", "5"]
+FUZZ_STRATEGIES = [
+    "feedback", "feedback,feedback", "", "minimum,mean,high,current,ondemand,feedback",
+    "martingale", "mean,,high", " current ",
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_flags(tmp_path_factory):
+    """Each subcommand's flags, mapped to the values the gate draws for them
+    (None for a switch), over files that hold at most 50 points."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    trace = tmp / "trace50.csv"
+    config = sb.SynthConfig((0.256, 2.6), 50, hold_steps_mean=3, seed=7)
+    trace.write_text(sb.to_csv(sb.synth_step_hold(config)))
+    empty = tmp / "empty"
+    empty.write_bytes(b"")
+    missing, out = str(tmp / "missing"), str(tmp / "out")
+    inputs = {
+        "--trace": [str(trace), str(trace), AWS, str(empty), missing, str(tmp)],
+        "--aws-json": [AWS, AWS, str(trace), str(empty), missing],
+        "--instance-type": FUZZ_LABELS,
+        "--product": FUZZ_LABELS,
+        "--zone": FUZZ_LABELS,
+    }
+    band = {"--floor": FUZZ_BAND, "--ceiling": FUZZ_BAND}
+    outputs = {"--out": [out, "-", str(tmp), missing + "/out"]}
+    formats = {"--format": ["json", "csv", "xml", ""]}
+    return {
+        "ingest": {**inputs, **outputs, **formats},
+        "backtest": {
+            **inputs, **band, **outputs, **formats,
+            "--strategies": FUZZ_STRATEGIES,
+            "--kp": FUZZ_FLOATS,
+            "--ki": FUZZ_FLOATS,
+            "--pre-delta": FUZZ_FLOATS,
+            "--post-delta": FUZZ_FLOATS,
+            "--mode": ["causal", "fulltrace", "x"],
+            "--initial-bid": FUZZ_FLOATS,
+            "--plot-dir": [str(tmp / "plots"), str(trace), str(trace / "sub")],
+            "--include-bids": None,
+            "--no-include-bids": None,
+            "--allow-positive-gains": None,
+        },
+        "sweep": {
+            **inputs, **band, **outputs, **formats,
+            "--kp": FUZZ_LISTS,
+            "--ki": FUZZ_LISTS,
+            "--pre-delta": FUZZ_LISTS,
+            "--post-delta": FUZZ_LISTS,
+            "--initial-bid": FUZZ_FLOATS,
+        },
+        "synth": {
+            **band, **outputs,
+            "--points": ["1", "2", "50", "0", "-1", "", "nan", "1e308", "5e-324"],
+            "--hold-mean": ["1", "5", "0", "-1", "", "nan"],
+            "--step-scale": FUZZ_FLOATS,
+            "--seed": ["0", "1", "-1", str(2**64), "", "x"],
+        },
+    }
+
+
+def test_fuzz_gate_draws_every_flag_of_every_subcommand(fuzz_flags):
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(fuzz_flags)
+    for name, subparser in commands.choices.items():
+        flags = {flag for action in subparser._actions for flag in action.option_strings}
+        assert flags - {"-h", "--help"} == set(fuzz_flags[name]), name
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_no_argv_reaches_an_internal_error(fuzz_flags, data):
+    command = data.draw(st.sampled_from(sorted(fuzz_flags)))
+    flags = fuzz_flags[command]
+    # A run that would work, less any flag it needs (but --points, whose
+    # default is 1000), then up to 4 drawn flags; argparse keeps the last
+    # value of a flag given twice, so a drawn one can swap the band, say.
+    usual = {"--trace": flags.get("--trace", [""])[0], "--floor": "0.256",
+             "--ceiling": "2.6", "--points": "50"}
+    argv = [command]
+    for flag, value in usual.items():
+        if flag in flags and (flag == "--points" or data.draw(st.integers(0, 7))):
+            argv += [flag, value]
+    for flag in data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=4)):
+        values = flags[flag]
+        argv += [flag] if values is None else [flag, data.draw(st.sampled_from(values))]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()
+    assert "internal error" not in stderr.getvalue()
 
 
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, 5e-324, 1e16, 0.1]

@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from contextlib import contextmanager
 
 import pytest
@@ -133,6 +134,30 @@ def test_a_data_error_in_any_share_is_the_first_serial_one(cpus, pre, first):
         sb.sweep(STEPHOLD, config)
     assert len(forks) == cpus - 1
     assert str(info.value) == _message_of(first)
+    assert_no_child_left()
+
+
+def test_a_failing_first_share_ends_the_children_at_once():
+    # The error in this process's share is the first in cell order, so the
+    # sweep kills the child, which would otherwise hold it for 3 s.
+    parent, run_strategy, slept = os.getpid(), engine.run_strategy, []
+
+    def slow_first_call_in_a_child(spec, trace, band):
+        if os.getpid() != parent and not slept:
+            slept.append(True)
+            time.sleep(3)
+        return run_strategy(spec, trace, band)
+
+    config = sb.SweepConfig(BAND, (10.0,), (10.0,), [-5.0] + [i / 100 for i in range(21)])
+    with usable_cpus(2) as forks, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "run_strategy", slow_first_call_in_a_child)
+        start = time.monotonic()
+        with pytest.raises(sb.DataError) as info:
+            sb.sweep(STEPHOLD, config)
+        elapsed = time.monotonic() - start
+    assert len(forks) == 1
+    assert str(info.value) == _message_of(-5.0)
+    assert elapsed < 1.5
     assert_no_child_left()
 
 

@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+import sys
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
@@ -449,6 +450,9 @@ def reference_parse_aws_json(
         spot = rec["SpotPrice"]
         if not isinstance(spot, str):
             raise sb.DataError(f"{where}: SpotPrice must be quoted decimal text")
+        for key in sb.trace._AWS_FIELDS:
+            if isinstance(rec[key], (dict, list)):
+                raise sb.DataError(f"{where}: {key} must not be an object or array")
         ts = sb.trace._parse_timestamp(str(rec["Timestamp"]), where)
         price = sb.trace._parse_price(spot, where)
         instance_type = str(rec["InstanceType"])
@@ -521,11 +525,12 @@ AWS_ODD_VALUES = [
         "9999-12-31T23:59:59-05:00",
         "20200101T000000Z",
         "2020-W01-3T00:00:00Z",
+        {"Value": "2020-01-01T00:00:00Z"},
     ]
 ] + [
     ("SpotPrice", value)
     for value in [1.5, 2, None, "nan", "inf", "-inf", "-1", "abc", "1e400", ""]
-] + [(key, value) for key in AWS_LABELS for value in [None, 2.5, ["x"]]]
+] + [(key, value) for key in AWS_LABELS for value in [None, 2.5, True, ["x"], {}]]
 AWS_ODD_RECORD = (
     st.sampled_from([[], "record", 1, None])
     | st.builds(
@@ -614,7 +619,7 @@ def _wrapped(records, **fields):
     "text",
     [
         json.dumps([*AWS_CLEAN, dict(AWS_CLEAN[0], Timestamp=AWS_NESTED)]),
-        json.dumps([dict(AWS_CLEAN[0], InstanceType=AWS_NESTED)]),  # read with str()
+        json.dumps([dict(AWS_CLEAN[0], InstanceType=AWS_NESTED)]),
         json.dumps([*AWS_CLEAN, dict(AWS_CLEAN[0], InstanceType=AWS_NESTED)]),
         json.dumps([dict(AWS_CLEAN[0], Extra=AWS_NESTED), *AWS_CLEAN[1:]]),
         _wrapped(AWS_CLEAN, **AWS_NESTED),
@@ -628,12 +633,15 @@ def _wrapped(records, **fields):
         % (json.dumps(AWS_CLEAN), json.dumps(_record("yesterday"))),
         json.dumps([*AWS_CLEAN, [AWS_NESTED]]),
         json.dumps([[]]),
+        json.dumps([*AWS_CLEAN, dict(AWS_CLEAN[0], ProductDescription={})]),
+        json.dumps([dict(AWS_CLEAN[0], AvailabilityZone=["us-east-1b"]), *AWS_CLEAN[1:]]),
     ],
     ids=[
         "record-as-timestamp", "record-as-instance-type", "record-as-instance-type-mixed",
         "record-under-extra-key", "wrapper-is-a-record", "wrapper-is-a-filtered-record",
         "lone-record", "lone-filtered-record", "record-as-array", "duplicate-array-key",
         "duplicate-array-key-last-bad", "list-holding-a-record", "list-holding-a-list",
+        "object-as-product", "array-as-zone",
     ],
 )
 @pytest.mark.parametrize(
@@ -646,31 +654,105 @@ def test_parse_aws_json_edge_documents_match_reference_loop(text, trace_filter):
     )
 
 
-@pytest.mark.parametrize(
-    "records, decodes",
-    [
-        (AWS_CLEAN, 1),
-        ([*AWS_CLEAN, _record(" 2020-01-01T00:03:00Z ")], 2),  # padded: helpers accept it
-        ([*AWS_CLEAN, _record("2020-01-01T00:03:00z")], 2),
-        ([*AWS_CLEAN, dict(_record("2020-01-01T00:03:00Z"), InstanceType=5)], 2),
-        ([*AWS_CLEAN, _record("yesterday")], 2),
-    ],
-    ids=["clean", "padded-stamp", "z-stamp", "int-label", "bad-record"],
-)
-def test_parse_aws_json_decodes_again_only_off_the_fast_path(monkeypatch, records, decodes):
+def _spy_on_decodes(monkeypatch):
+    """Replace json as spotbid.trace sees it with a spy; the list it fills
+    holds (hooked, raised) for each decode."""
     calls = []
 
     def loads(*args, **kwargs):
-        calls.append(kwargs)
-        return json.loads(*args, **kwargs)
+        try:
+            doc = json.loads(*args, **kwargs)
+        except BaseException:
+            calls.append(("object_hook" in kwargs, True))
+            raise
+        calls.append(("object_hook" in kwargs, False))
+        return doc
 
     spy = SimpleNamespace(loads=loads, JSONDecodeError=json.JSONDecodeError)
     monkeypatch.setattr(sb.trace, "json", spy)
-    raw = _wrapped(records).encode()
-    expected = _aws_outcome(reference_parse_aws_json, raw, sb.TraceFilter())
+    return calls
+
+
+# The hooked decode is the fast path; the text is decoded again, without the
+# hook, only when that decode raised or yielded the top-level object as a
+# checked record.
+@pytest.mark.parametrize(
+    "text, decodes",
+    [
+        (_wrapped(AWS_CLEAN), 1),
+        (_wrapped([*AWS_CLEAN, _record(" 2020-01-01T00:03:00Z ")]), 1),  # helpers accept it
+        (_wrapped([*AWS_CLEAN, _record("2020-01-01T00:03:00z")]), 1),
+        (_wrapped([*AWS_CLEAN, dict(_record("2020-01-01T00:03:00Z"), InstanceType=5)]), 1),
+        (_wrapped([*AWS_CLEAN, _record("yesterday")]), 1),
+        (_wrapped([*AWS_CLEAN, dict(AWS_NESTED, InstanceType={"Name": "m3.large"})]), 1),
+        (json.dumps(AWS_NESTED), 2),
+        (_wrapped(AWS_CLEAN, **AWS_NESTED), 2),
+        ('{"SpotPriceHistory": [', 2),
+    ],
+    ids=["clean", "padded-stamp", "z-stamp", "int-label", "bad-record", "object-label",
+         "lone-record", "wrapper-is-a-record", "undecodable"],
+)
+def test_parse_aws_json_decodes_again_only_off_the_fast_path(monkeypatch, text, decodes):
+    calls = _spy_on_decodes(monkeypatch)
+    raw = text.encode()
+    try:
+        expected = _aws_outcome(reference_parse_aws_json, raw, sb.TraceFilter())
+    except json.JSONDecodeError as exc:
+        expected = f"DataError: invalid JSON: {exc}"
     assert _aws_outcome(sb.parse_aws_json, raw, sb.TraceFilter()) == expected
     assert len(calls) == decodes
-    assert "object_hook" in calls[0]
+    assert [hooked for hooked, _ in calls] == [True, False][:decodes]
+
+
+def _nested(depth):
+    """A clean record at the bottom of depth nested arrays."""
+    return ("[" * depth + json.dumps(AWS_CLEAN[0]) + "]" * depth).encode()
+
+
+def _plain_decode(raw, trace_filter):
+    """parse_aws_json on _nested(depth >= 2), told from the plain decode alone.
+
+    Called through _aws_outcome, it decodes at the stack depth at which
+    parse_aws_json decodes, so both reach the same recursion limit.
+    """
+    try:
+        sb.trace.json.loads(raw)
+    except RecursionError as exc:
+        raise sb.DataError(f"invalid JSON: {exc}") from None
+    raise sb.DataError("record 0 is not an object")
+
+
+def test_parse_aws_json_nesting_at_the_recursion_limit_matches_the_plain_decode(monkeypatch):
+    calls = _spy_on_decodes(monkeypatch)
+
+    def outcome(parse, depth):
+        calls.clear()
+        return _aws_outcome(parse, _nested(depth), sb.TraceFilter()), list(calls)
+
+    # The shallowest depth the plain decode cannot reach from here.
+    low, high = 2, 1 << 18
+    while low < high:
+        mid = (low + high) // 2
+        if "invalid JSON" in outcome(_plain_decode, mid)[0]:
+            high = mid
+        else:
+            low = mid + 1
+    boundary = []
+    for depth in range(high - 30, high + 1):
+        expected, _ = outcome(_plain_decode, depth)
+        assert expected.startswith(("DataError: record 0", "DataError: invalid JSON"))
+        actual, decodes = outcome(sb.parse_aws_json, depth)
+        assert actual == expected, depth
+        hooked_raised = decodes[0] == (True, True)
+        assert len(decodes) == 1 + hooked_raised
+        if hooked_raised and "record 0" in actual:
+            boundary.append(depth)
+    assert "invalid JSON" in actual and len(decodes) == 2
+    if sys.version_info < (3, 12):
+        # The hook's frame at the innermost record counts against the same
+        # limit as the nesting, so the hooked decode fails a level or two
+        # before the plain one; those depths are decoded twice.
+        assert boundary
 
 
 def _aws_history_bytes(stamp_suffix):
@@ -716,8 +798,8 @@ def test_parse_aws_json_peak_memory_stays_near_the_input_size():
 
 
 def test_parse_aws_json_second_pass_peaks_as_one_whole_decode():
-    # Every "z" stamp fails the inline check, so the text is decoded twice.
-    # The first pass's document is freed before the second is built: the
+    # Every "z" stamp fails the inline check, so the decode keeps every
+    # record as a dict, and the records are checked where it left them: the
     # peak stays near that of decoding the whole document once, plus the
     # kept records, and not two documents (about 7 times the input size).
     raw = _aws_history_bytes("z")
