@@ -59,6 +59,9 @@ _ALL_STRATEGIES = ",".join(kind.value for kind in StrategyKind)
 # write byte-identical reports.
 _NOT_ECHOED = frozenset(("command", "handler", "out", "format", "plot_dir"))
 
+# Bids the report writer formats at a time: a few MB of text at any length.
+_BIDS_PER_PIECE = 65_536
+
 
 def _finite_float(text: str) -> float:
     try:
@@ -134,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ingest", help="parse, filter, validate, and normalize a price trace"
     )
     _add_input_flags(ingest)
-    _add_output_flags(ingest, "csv", "json")
+    _add_output_flags(ingest, "csv")
     ingest.set_defaults(handler=_cmd_ingest)
 
     bt = commands.add_parser(
@@ -207,30 +210,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_input_flags(sw)
     _add_band_flags(sw)
-    sw.add_argument(
-        "--kp",
-        type=_float_list,
-        default=(10.0,),
-        help="comma-separated proportional gain magnitudes (applied negative)",
-    )
-    sw.add_argument(
-        "--ki",
-        type=_float_list,
-        default=(10.0,),
-        help="comma-separated integral gain magnitudes (applied negative)",
-    )
-    sw.add_argument(
-        "--pre-delta",
-        type=_float_list,
-        default=(0.0,),
-        help="comma-separated reference-price shifts",
-    )
-    sw.add_argument(
-        "--post-delta",
-        type=_float_list,
-        default=(0.0,),
-        help="comma-separated emitted-bid shifts",
-    )
+    for flag, default, what in (
+        ("--kp", 10.0, "proportional gain magnitudes (applied negative)"),
+        ("--ki", 10.0, "integral gain magnitudes (applied negative)"),
+        ("--pre-delta", 0.0, "reference-price shifts"),
+        ("--post-delta", 0.0, "emitted-bid shifts"),
+    ):
+        sw.add_argument(
+            flag, type=_float_list, default=(default,), help=f"comma-separated {what}"
+        )
     sw.add_argument(
         "--initial-bid",
         type=_finite_float,
@@ -332,12 +320,24 @@ class _Bids:
         self.bids = bids
 
 
-def _bids_json(bids: tuple[float, ...], depth: int) -> str:
-    """The text _json(_rounded(bids), depth) gives, without round() per bid.
+def _fixed(bids: tuple[float, ...]) -> str:
+    """Each bid as "%.6f" with its trailing zeros stripped, then ","."""
+    return (
+        (("%.6f," * len(bids)) % bids)
+        .replace("0000,", ",")
+        .replace("00,", ",")
+        .replace("0,", ",")
+        .replace(".,", ".0,")
+    )
 
-    When every bid is finite and 1e-4 <= bid < 1e9, one C call formats all
-    of them as "%.6f", and the trailing zeros are stripped down to one "0"
-    after the point.  That is the text repr(round(bid, 6)) gives:
+
+def _bids_json(bids: tuple[float, ...], depth: int) -> Iterator[str]:
+    """The text _json(_rounded(bids), depth) gives, without round() per bid,
+    in pieces of at most _BIDS_PER_PIECE bids.
+
+    When every bid is finite and 1e-4 <= bid < 1e9, one C call formats a
+    piece's bids as "%.6f", and the trailing zeros are stripped down to one
+    "0" after the point.  That is the text repr(round(bid, 6)) gives:
     - "%.6f" and round(x, 6) both round the exact binary value of x half to
       even at 6 places, so they reach the same decimal d.
     - 1e-4 <= d <= 1e9, so d has at most 15 significant digits (9 before
@@ -348,19 +348,35 @@ def _bids_json(bids: tuple[float, ...], depth: int) -> str:
       1e-4 <= round(x, 6) < 1e16.
     Any other tuple (empty, or holding a NaN, an infinity, a zero, a
     subnormal, a negative or a bid of 1e9 or more) goes through round().
+
+    When at most a quarter of the bids are distinct (a held bid, a running
+    minimum), each distinct bid is formatted once into a table, and the bids
+    are written by lookup.  That is exact: in the window every bid is a
+    finite, nonzero double, and two such doubles are equal only when their
+    bits are, so each bid finds the text it would get on its own.  +-0.0
+    (equal, written differently) and NaN (equal to nothing) lie outside it.
     """
+    head = bids[:1024]  # a cheap first test, so all-distinct bids skip set(bids)
+    few = 4 * len(set(head)) <= len(head) and 4 * len(values := set(bids)) <= len(bids)
+    values = tuple(values) if few else bids
     # min and max pass over a NaN after the first item, so isfinite goes first.
-    if bids and all(map(math.isfinite, bids)) and 1e-4 <= min(bids) and max(bids) < 1e9:
-        text = (
-            (("%.6f," * len(bids)) % bids)
-            .replace("0000,", ",")
-            .replace("00,", ",")
-            .replace("0,", ",")
-            .replace(".,", ".0,")
-        )
-        pad = "\n" + "  " * (depth + 1)
-        return "[" + pad + text[:-1].replace(",", "," + pad) + pad[:-2] + "]"
-    return "".join(_json(_rounded(bids), depth))
+    if not (values and all(map(math.isfinite, values))
+            and 1e-4 <= min(values) and max(values) < 1e9):
+        yield from _json(_rounded(bids), depth)
+        return
+    pad = "\n" + "  " * (depth + 1)
+    sep = "," + pad
+    if few:
+        table = dict(zip(values, [text + sep for text in _fixed(values).split(",")]))
+        body = lambda piece: "".join(map(table.__getitem__, piece))
+    else:
+        body = lambda piece: _fixed(piece).replace(",", sep)
+    # Every bid but the last is followed by sep; the last closes the array.
+    last = len(bids) - 1
+    yield "[" + pad
+    for start in range(0, last, _BIDS_PER_PIECE):
+        yield body(bids[start : min(start + _BIDS_PER_PIECE, last)])
+    yield body(bids[last:])[: -len(sep)] + pad[:-2] + "]"
 
 
 def _json(value: object, depth: int = 0) -> Iterator[str]:
@@ -373,11 +389,12 @@ def _json(value: object, depth: int = 0) -> Iterator[str]:
     one call.  That is safe because both encoders write a float as
     float.__repr__ (NaN and Infinity for the non-finite ones), and no
     float's text contains ", ", so the only ", " in the C output are the
-    separators, which become the indented ",\\n".  Each all-float list and
-    each _Bids array is one piece; the layout around them is short pieces.
+    separators, which become the indented ",\\n".  Each all-float list is
+    one piece, each _Bids array comes in _bids_json's bounded pieces, and the
+    layout around them is short pieces.
     """
     if type(value) is _Bids:
-        yield _bids_json(value.bids, depth)
+        yield from _bids_json(value.bids, depth)
         return
     pad = "\n" + "  " * (depth + 1)
     if isinstance(value, dict) and value:
@@ -405,7 +422,7 @@ def _json(value: object, depth: int = 0) -> Iterator[str]:
 def _report_pieces(
     report: BacktestReport, fmt: str, include_bids: bool
 ) -> Iterator[str]:
-    """render_report's text in pieces, one piece per bids array at most.
+    """render_report's text in pieces of at most _BIDS_PER_PIECE bids.
 
     The backtest command writes the pieces one by one, so the whole report
     is never held as text: at 1M points with bids it is about 95 MB.
@@ -462,25 +479,6 @@ def render_sweep(
             f"{p.relative_rationality:.6f},{str(p.pareto_member).lower()}"
         )
     return "\n".join(lines) + "\n"
-
-
-def trace_to_json(trace: PriceTrace) -> str:
-    """The labels and points as json.dumps(obj, indent=2) writes them.
-
-    Each point is laid out from the columns.  The C encoder writes the whole
-    price column in one call, split at its ", " separators, which no float
-    text contains.
-    """
-    labels = {key: getattr(trace, key) for key in ("instance_type", "product", "zone")}
-    head = json.dumps({**labels, "points": []}, indent=2)[: -len("[]\n}")]
-    if not trace.stamps:
-        return head + "[]\n}\n"
-    prices = json.dumps(trace.prices())[1:-1].split(", ")
-    body = ",\n".join(
-        f'    {{\n      "timestamp": "{text}",\n      "price": {price}\n    }}'
-        for text, price in zip(format_timestamps(trace.stamps), prices)
-    )
-    return f"{head}[\n{body}\n  ]\n}}\n"
 
 
 def write_plot_data(report: BacktestReport, trace: PriceTrace, plot_dir: str) -> None:
@@ -614,8 +612,7 @@ def _build_specs(args: argparse.Namespace) -> list[StrategySpec]:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     trace = _load_trace(args)
     _log(_LOG_LEVELS["info"], "ingested %d points", len(trace))
-    text = to_csv(trace) if args.format == "csv" else trace_to_json(trace)
-    _write_output(args.out, [text])
+    _write_output(args.out, [to_csv(trace)])
     return 0
 
 

@@ -360,45 +360,48 @@ def _record_check(trace_filter: TraceFilter):
     (stamp, price, instance_type, product, zone) if the filter keeps it, or
     _SKIPPED if it drops it.
 
-    The record is first checked inline, as parse_csv checks a row: five
-    str fields, the stamp straight to fromisoformat, an aware stamp
-    converted to UTC, then whole seconds and a finite non-negative price.
-    A record that fails any step is returned as it is when idx is None, so
-    the decode leaves it in place.  Otherwise _aws_record checks it again
-    with the helpers, in the original order: it accepts a padded or "z"
-    stamp and a scalar label, and words any error as record idx.
+    Without idx, as the hooked decode calls it, the record is checked inline,
+    as parse_csv checks a row: five str fields, the stamp straight to
+    fromisoformat, an aware stamp converted to UTC, then whole seconds and a
+    finite non-negative price; a record that fails any step is returned as
+    it is, so the decode leaves it in place.  With idx, _aws_record checks it
+    with the helpers, in the original order: they give the inline tuple for
+    every record the inline check accepts, also accept a padded or "z" stamp
+    and a scalar label, and word any error as record idx.
     """
     want_type, want_product, want_zone = trace_filter
     utc, epoch = timezone.utc, _EPOCH
     fromisoformat, isfinite = datetime.fromisoformat, math.isfinite
 
     def check(rec: object, idx: int | None = None) -> object:
-        try:
-            stamp = rec["Timestamp"]
-            spot = rec["SpotPrice"]
-            instance_type = rec["InstanceType"]
-            product = rec["ProductDescription"]
-            zone = rec["AvailabilityZone"]
-            if not (
-                type(stamp) is str
-                and type(spot) is str
-                and type(instance_type) is str
-                and type(product) is str
-                and type(zone) is str
-            ):
-                raise TypeError  # _aws_record converts or rejects it
-            ts = fromisoformat(stamp)
-            if ts.tzinfo is not utc and ts.tzinfo is not None:
-                ts = ts.astimezone(utc)
-            price = float(spot)
-            if not (
-                ts.tzinfo is utc and not ts.microsecond and isfinite(price) and price >= 0
-            ):
-                raise ValueError
-        except (KeyError, TypeError, ValueError, OverflowError):
-            if idx is None:
-                return rec
+        if idx is not None:
             ts, price, instance_type, product, zone = _aws_record(rec, f"record {idx}")
+        else:
+            try:
+                stamp = rec["Timestamp"]
+                spot = rec["SpotPrice"]
+                instance_type = rec["InstanceType"]
+                product = rec["ProductDescription"]
+                zone = rec["AvailabilityZone"]
+                if not (
+                    type(stamp) is str
+                    and type(spot) is str
+                    and type(instance_type) is str
+                    and type(product) is str
+                    and type(zone) is str
+                ):
+                    raise TypeError  # _aws_record converts or rejects it
+                ts = fromisoformat(stamp)
+                if ts.tzinfo is not utc and ts.tzinfo is not None:
+                    ts = ts.astimezone(utc)
+                price = float(spot)
+                if not (
+                    ts.tzinfo is utc and not ts.microsecond and isfinite(price)
+                    and price >= 0
+                ):
+                    raise ValueError
+            except (KeyError, TypeError, ValueError, OverflowError):
+                return rec
         if want_type is not None and instance_type != want_type:
             return _SKIPPED
         if want_product is not None and product != want_product:
@@ -426,8 +429,8 @@ def parse_aws_json(
     _record_check's check as it builds it, so a record's dict and strings
     are freed at once and only the kept tuples stay.  A record the inline
     check declines stays a dict where the decoder left it; once the shape
-    of the document is checked, it goes through check with its index, so
-    the first bad record and its message are the helpers'.  JSON never
+    of the document is checked, check with its index hands it to the
+    helpers, so the first bad record and its message are the helpers'.  JSON never
     yields a tuple, so a tuple in the array is a checked record.  Only a
     hooked decode that raised or yielded a tuple (the top-level object
     passed as a record) is followed by a plain decode, without the hook.

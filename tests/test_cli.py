@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 import spotbid as sb
 from spotbid.cli import (
     _bids_json,
+    _fixed,
     _json,
     build_parser,
     main,
     render_report,
     report_to_obj,
-    trace_to_json,
 )
 from conftest import FIXTURES, cli_env, make_trace
 
@@ -242,11 +242,10 @@ def test_ingest_aws_filtered_to_stdout(capsys):
     ]
 
 
-def test_ingest_json_format(capsys):
-    assert run(["ingest", "--aws-json", AWS, "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert len(doc["points"]) == 5
-    assert doc["points"][0]["timestamp"] == "2015-05-03T00:20:06Z"
+def test_ingest_writes_csv_only(capsys):
+    assert run(["ingest", "--aws-json", AWS, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("timestamp,price\n")
+    assert run(["ingest", "--aws-json", AWS, "--format", "json"]) == 1
 
 
 def test_backtest_json_report_shape(tmp_path):
@@ -846,6 +845,27 @@ def bid_runs(values):
     )
 
 
+# Longer tuples for the writer's two fast paths: all-distinct bids (formatted
+# piece by piece), runs repeated many times (few distinct bids, formatted
+# once each into a table), and repeated runs before distinct bids, whose
+# head passes the table's gate while the whole tuple does not.
+DISTINCT_BIDS = st.builds(
+    lambda start, step, count: tuple(start + step * k for k in range(count)),
+    st.floats(1e-4, 1e3),
+    st.floats(1e-9, 1.0),
+    st.integers(0, 3000),
+)
+LONG_BIDS = (
+    DISTINCT_BIDS
+    | st.tuples(bid_runs(IN_WINDOW_BIDS | NEAR_WINDOW_BIDS), st.integers(2, 60)).map(
+        lambda runs_times: runs_times[0] * runs_times[1]
+    )
+    | st.tuples(bid_runs(IN_WINDOW_BIDS), DISTINCT_BIDS).map(
+        lambda head_tail: head_tail[0] * 8 + head_tail[1]
+    )
+)
+
+
 REPORT_BASE = sb.backtest(
     make_trace([0.5, 1.0, 0.75]),
     [
@@ -857,10 +877,12 @@ REPORT_BASE = sb.backtest(
 )
 
 
+@settings(deadline=None)
 @given(
     bid_runs(IN_WINDOW_BIDS)
     | bid_runs(IN_WINDOW_BIDS | NEAR_WINDOW_BIDS)
     | bid_runs(st.floats())
+    | LONG_BIDS
 )
 @example(())
 @example(tuple(INSIDE_EDGES + OUTSIDE_EDGES))
@@ -871,6 +893,12 @@ REPORT_BASE = sb.backtest(
 @example((1.0, math.inf, -math.inf, 0.0, -0.0, 5e-324, -1.5))
 @example((0.2500005,) * 50 + (1.0000004999,) * 50)
 @example(tuple(k / 1e6 + 5e-7 for k in range(100, 200)))
+@example(tuple(0.256 + k * 3.3e-5 for k in range(70_000)))  # two pieces, bulk
+@example((0.3, 2.6, 1.25) * 23_000)  # two pieces, table
+@example((0.5,) * 1100 + tuple(0.256 + k * 3.3e-5 for k in range(5000)))
+@example((0.3,) * 2000 + (-0.0, 0.3, 0.0, 2.6))  # the signed zeros, with the table's gate
+@example((0.3,) * 2000 + (0.0, 0.3, -0.0, 2.6))
+@example((2.6,) * 2000 + (math.nan, 2.6, -math.nan))
 def test_render_report_bids_match_json_dumps_indent(bids):
     results = tuple(
         result._replace(series=result.series._replace(bids=bids))
@@ -886,15 +914,80 @@ def test_render_report_bids_match_json_dumps_indent(bids):
     assert len(got) == len(expected)
 
 
-def test_bids_inside_window_skip_round(monkeypatch):
-    bids = tuple(INSIDE_EDGES) * 3
-    expected = json.dumps([round(bid, 6) for bid in bids], indent=2)
+def _spy_on_fixed(monkeypatch):
+    """A list that gets the length of each tuple _bids_json formats."""
+    formatted = []
 
+    def spy(values):
+        formatted.append(len(values))
+        return _fixed(values)
+
+    monkeypatch.setattr("spotbid.cli._fixed", spy)
+    return formatted
+
+
+def test_bids_inside_window_skip_round(monkeypatch):
     def no_round(bids):
         raise AssertionError("round() path taken inside the window")
 
     monkeypatch.setattr("spotbid.cli._rounded", no_round)
-    assert _bids_json(bids, 0) == expected
+    formatted = _spy_on_fixed(monkeypatch)
+    # 15 bids with 5 distinct take the bulk path (all but the last bid, then
+    # the last); 100 bids with the same 5 take the table path.
+    for copies, calls in ((3, [14, 1]), (20, [5])):
+        bids = tuple(INSIDE_EDGES) * copies
+        expected = json.dumps([round(bid, 6) for bid in bids], indent=2)
+        formatted.clear()
+        assert "".join(_bids_json(bids, 0)) == expected
+        assert formatted == calls
+
+
+@pytest.mark.parametrize(
+    "bids, calls",
+    [
+        ((2.6,) * 25_001, [1]),
+        ((0.256, 2.6) * 3000, [2]),
+        (tuple(0.256 + k * 3.3e-5 for k in range(5000)), [4999, 1]),
+        ((0.5,) * 1100 + tuple(0.256 + k * 3.3e-5 for k in range(5000)), [6099, 1]),
+    ],
+    ids=["constant", "two-values", "distinct", "few-distinct-head"],
+)
+def test_bids_json_formats_each_distinct_bid_once_when_few(monkeypatch, bids, calls):
+    # A silent fall-back from the table to the bulk path formats every bid.
+    formatted = _spy_on_fixed(monkeypatch)
+    expected = json.dumps([round(bid, 6) for bid in bids], indent=2)
+    assert "".join(_bids_json(bids, 0)) == expected
+    assert formatted == calls
+
+
+@pytest.mark.parametrize("per_piece", [1, 2, 3, 5])
+def test_bids_json_piece_edges(monkeypatch, per_piece):
+    monkeypatch.setattr("spotbid.cli._BIDS_PER_PIECE", per_piece)
+    distinct = tuple(0.25 + k / 64 for k in range(4 * per_piece + 2))
+    for bids in (distinct, (2.6,) * len(distinct), (0.3, 2.6) * len(distinct)):
+        for count in range(1, len(bids) + 1):
+            expected = json.dumps([round(bid, 6) for bid in bids[:count]], indent=2)
+            pieces = list(_bids_json(bids[:count], 0))
+            assert "".join(pieces) == expected
+            # Each bid but the last is written with its separating comma.
+            assert max(piece.count(",") for piece in pieces) <= per_piece
+            assert len(pieces) == 2 + -(-(count - 1) // per_piece)
+
+
+def test_bids_json_pieces_bound_transient_memory():
+    # 300k distinct bids make 5.4 MB of text.  Built whole, the text and its
+    # copies peaked at 13.4 MB (tracemalloc, Python 3.11), and 44.7 MB at 1M
+    # bids; written in pieces of 65,536 bids, the peak is 3.5 MB at either.
+    bids = tuple(0.256 + k * 7.8e-6 for k in range(300_000))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        size = sum(map(len, _bids_json(bids, 3)))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert size > 5_000_000
+    assert peak < 6_000_000
 
 
 @pytest.mark.parametrize("include_bids", [True, False])
@@ -915,39 +1008,6 @@ def test_render_report_matches_json_dumps_indent(stephold_trace, include_bids):
     assert report.warnings  # a non-empty list of strings is covered too
     expected = json.dumps(report_to_obj(report, include_bids), indent=2) + "\n"
     assert render_report(report, "json", include_bids) == expected
-
-
-# Stamps anywhere in years 1-9999 and prices the C encoder writes in
-# every form, with labels that need escaping.
-TRACE_COLUMNS = st.lists(
-    st.tuples(
-        st.integers(min_value=-62135596800, max_value=253402300799),
-        st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, 5e-324]),
-    ),
-    max_size=12,
-)
-
-
-@given(TRACE_COLUMNS, JSON_TEXT)
-@example([], "")
-@example([(0, 1.0), (86399, math.nan), (86400, -math.inf)], 'a "quoted"\nlabel \u00e9')
-def test_trace_to_json_matches_json_dumps_indent(rows, label):
-    trace = sb.PriceTrace(
-        tuple(stamp for stamp, _ in rows),
-        tuple(price for _, price in rows),
-        instance_type=label,
-        zone="us-east-1b",
-    )
-    obj = {
-        "instance_type": label,
-        "product": "",
-        "zone": "us-east-1b",
-        "points": [
-            {"timestamp": sb.format_timestamp(stamp), "price": price}
-            for stamp, price in rows
-        ],
-    }
-    assert trace_to_json(trace) == json.dumps(obj, indent=2) + "\n"
 
 
 def test_import_leaves_concurrent_futures_unloaded(tmp_path):

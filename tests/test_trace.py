@@ -704,6 +704,24 @@ def test_parse_aws_json_decodes_again_only_off_the_fast_path(monkeypatch, text, 
     assert [hooked for hooked, _ in calls] == [True, False][:decodes]
 
 
+def test_parse_aws_json_checks_a_declined_record_inline_only_once(monkeypatch):
+    # A "z" stamp fails the inline check during the hooked decode.  The pass
+    # over the declined records hands it straight to the helpers, so each
+    # stamp reaches fromisoformat twice (inline, then rewritten by
+    # _parse_timestamp), not three times.
+    seen = []
+
+    def fromisoformat(text):
+        seen.append(text)
+        return datetime.fromisoformat(text)
+
+    monkeypatch.setattr(sb.trace, "datetime", SimpleNamespace(fromisoformat=fromisoformat))
+    stamps = [f"2020-01-01T00:0{minute}:00z" for minute in range(3)]
+    trace = sb.parse_aws_json(_wrapped([*map(_record, stamps)]).encode())
+    assert trace.stamps == tuple(1577836800 + 60 * minute for minute in range(3))
+    assert seen == stamps + [stamp[:-1] + "+00:00" for stamp in stamps]
+
+
 def _nested(depth):
     """A clean record at the bottom of depth nested arrays."""
     return ("[" * depth + json.dumps(AWS_CLEAN[0]) + "]" * depth).encode()
