@@ -276,16 +276,8 @@ def _rounded(bids: tuple[float, ...]) -> list[float]:
     return [round(bid, 6) for bid in bids]
 
 
-def report_to_obj(
-    report: BacktestReport,
-    include_bids: bool,
-    bids_value: Callable[[tuple[float, ...]], object] = _rounded,
-) -> dict[str, object]:
-    """The JSON report as a value, with each bid rounded to 6 places.
-
-    The report writer passes bids_value=_Bids, which _json writes as the
-    same text without building the rounded lists.
-    """
+def report_to_obj(report: BacktestReport, include_bids: bool) -> dict[str, object]:
+    """The JSON report as a value, with each bid rounded to 6 places."""
     strategies = []
     for result in report.results:
         entry: dict[str, object] = {
@@ -296,7 +288,7 @@ def report_to_obj(
             },
         }
         if include_bids:
-            entry["bids"] = bids_value(result.series.bids)
+            entry["bids"] = _rounded(result.series.bids)
         strategies.append(entry)
     return {
         "trace": _trace_obj(report),
@@ -332,8 +324,8 @@ def _fixed(bids: tuple[float, ...]) -> str:
 
 
 def _bids_json(bids: tuple[float, ...], depth: int) -> Iterator[str]:
-    """The text _json(_rounded(bids), depth) gives, without round() per bid,
-    in pieces of at most _BIDS_PER_PIECE bids.
+    """The text json.dumps(_rounded(bids), indent=2) gives, indented as at
+    depth, in pieces of at most _BIDS_PER_PIECE bids.
 
     When every bid is finite and 1e-4 <= bid < 1e9, one C call formats a
     piece's bids as "%.6f", and the trailing zeros are stripped down to one
@@ -346,8 +338,11 @@ def _bids_json(bids: tuple[float, ...], depth: int) -> Iterator[str]:
       reads back as round(x, 6), which is the double nearest d.
     - repr writes that shortest text, in fixed notation because
       1e-4 <= round(x, 6) < 1e16.
-    Any other tuple (empty, or holding a NaN, an infinity, a zero, a
-    subnormal, a negative or a bid of 1e9 or more) goes through round().
+    Any other tuple (holding a NaN, an infinity, a zero, a subnormal, a
+    negative or a bid of 1e9 or more) has each piece rounded and written by
+    the C encoder, which writes a float as float.__repr__ (NaN and Infinity
+    for the non-finite ones).  No float's text contains ", ", so the only
+    ", " in its output are the separators.
 
     When at most a quarter of the bids are distinct (a held bid, a running
     minimum), each distinct bid is formatted once into a table, and the bids
@@ -356,17 +351,18 @@ def _bids_json(bids: tuple[float, ...], depth: int) -> Iterator[str]:
     bits are, so each bid finds the text it would get on its own.  +-0.0
     (equal, written differently) and NaN (equal to nothing) lie outside it.
     """
+    if not bids:
+        yield "[]"
+        return
     head = bids[:1024]  # a cheap first test, so all-distinct bids skip set(bids)
     few = 4 * len(set(head)) <= len(head) and 4 * len(values := set(bids)) <= len(bids)
     values = tuple(values) if few else bids
-    # min and max pass over a NaN after the first item, so isfinite goes first.
-    if not (values and all(map(math.isfinite, values))
-            and 1e-4 <= min(values) and max(values) < 1e9):
-        yield from _json(_rounded(bids), depth)
-        return
     pad = "\n" + "  " * (depth + 1)
     sep = "," + pad
-    if few:
+    # min and max pass over a NaN after the first item, so isfinite goes first.
+    if not (all(map(math.isfinite, values)) and 1e-4 <= min(values) and max(values) < 1e9):
+        body = lambda piece: json.dumps(_rounded(piece))[1:-1].replace(", ", sep) + sep
+    elif few:
         table = dict(zip(values, [text + sep for text in _fixed(values).split(",")]))
         body = lambda piece: "".join(map(table.__getitem__, piece))
     else:
@@ -382,16 +378,8 @@ def _bids_json(bids: tuple[float, ...], depth: int) -> Iterator[str]:
 def _json(value: object, depth: int = 0) -> Iterator[str]:
     """The text json.dumps(value, indent=2) gives, for str-keyed values, in
     pieces: a caller can write each piece as it comes instead of the whole.
-
-    With indent set, json.dumps runs the pure-Python encoder, which costs a
-    call and several chunks per float of a bids array.  This writer lays out
-    dicts and lists itself and hands each all-float list to the C encoder in
-    one call.  That is safe because both encoders write a float as
-    float.__repr__ (NaN and Infinity for the non-finite ones), and no
-    float's text contains ", ", so the only ", " in the C output are the
-    separators, which become the indented ",\\n".  Each all-float list is
-    one piece, each _Bids array comes in _bids_json's bounded pieces, and the
-    layout around them is short pieces.
+    Each _Bids array comes in _bids_json's bounded pieces, and the layout
+    around them is short pieces.
     """
     if type(value) is _Bids:
         yield from _bids_json(value.bids, depth)
@@ -405,16 +393,12 @@ def _json(value: object, depth: int = 0) -> Iterator[str]:
             opener = ","
         yield pad[:-2] + "}"
     elif isinstance(value, (list, tuple)) and value:
-        if all(type(item) is float for item in value):
-            body = json.dumps(value)[1:-1].replace(", ", "," + pad)
-            yield "[" + pad + body + pad[:-2] + "]"
-        else:
-            opener = "["
-            for item in value:
-                yield opener + pad
-                yield from _json(item, depth + 1)
-                opener = ","
-            yield pad[:-2] + "]"
+        opener = "["
+        for item in value:
+            yield opener + pad
+            yield from _json(item, depth + 1)
+            opener = ","
+        yield pad[:-2] + "]"
     else:
         yield json.dumps(value)
 
@@ -428,7 +412,11 @@ def _report_pieces(
     is never held as text: at 1M points with bids it is about 95 MB.
     """
     if fmt == "json":
-        yield from _json(report_to_obj(report, include_bids, _Bids))
+        obj = report_to_obj(report, False)
+        if include_bids:
+            for entry, result in zip(obj["strategies"], report.results):
+                entry["bids"] = _Bids(result.series.bids)
+        yield from _json(obj)
         yield "\n"
         return
     lines = ["name,success_rate,distance,relative_rationality"]
@@ -712,6 +700,9 @@ def main(argv: list[str] | None = None) -> int:
         # The reader of standard output went away, as `| head` does.
         _stdout_to_devnull()
         return 0
+    except MemoryError:
+        print(f"error: out of memory while running {args.command}", file=sys.stderr)
+        return 2
     except Exception as exc:  # pragma: no cover - defensive
         _log(_LOG_LEVELS["debug"], "internal error", exc_info=True)
         print(f"internal error: {exc}", file=sys.stderr)

@@ -432,8 +432,10 @@ def parse_aws_json(
     of the document is checked, check with its index hands it to the
     helpers, so the first bad record and its message are the helpers'.  JSON never
     yields a tuple, so a tuple in the array is a checked record.  Only a
-    hooked decode that raised or yielded a tuple (the top-level object
-    passed as a record) is followed by a plain decode, without the hook.
+    hooked decode that ran out of depth or yielded a tuple (the top-level
+    object passed as a record) is followed by a plain decode, without the
+    hook; invalid JSON fails the hooked decode where it would fail the plain
+    one, with the same message.
     """
     # The input bytes and the decoded text are each as large as the file.
     # Each is freed as soon as it is no longer read, which lowers the peak
@@ -444,7 +446,9 @@ def parse_aws_json(
     check = _record_check(trace_filter)
     try:
         doc = json.loads(text, object_hook=check)
-    except (json.JSONDecodeError, RecursionError):
+    except json.JSONDecodeError as exc:  # the hook never raises it
+        raise DataError(f"invalid JSON: {exc}") from None
+    except RecursionError:
         doc = _SKIPPED  # a tuple: the plain decode, which nests less deep, runs
     if type(doc) is tuple:
         try:

@@ -668,6 +668,40 @@ def test_full_stdout_is_a_data_error(argv):
     assert "Traceback" not in proc.stderr
 
 
+def _limit_address_space():
+    """Cap the calling process's address space at 400 MB."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+
+GRID_1500 = ",".join(str(k) for k in range(1, 1501))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS as Linux enforces it")
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        (["sweep", "--kp", GRID_1500, "--ki", GRID_1500], 2,
+         "error: out of memory while running sweep\n"),
+        (["backtest", "--strategies", ",".join(["mean"] * 20_000)], 2,
+         "error: out of memory while running backtest\n"),
+        (["backtest"], 0, ""),
+    ],
+    ids=["sweep-grid", "strategy-list", "plain-backtest"],
+)
+def test_out_of_memory_is_a_data_error(argv, code, stderr):
+    # A 2.25M-cell grid and 20,000 strategies each outgrow 400 MB; a plain
+    # backtest runs well within it.  Only the child runs under the limit.
+    command, *flags = argv
+    proc = subprocess.run(
+        [sys.executable, "-m", "spotbid.cli", command, "--trace", TRACE, *BAND_ARGS, *flags],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=cli_env(),
+        timeout=120, preexec_fn=_limit_address_space,
+    )
+    assert (proc.returncode, proc.stderr) == (code, stderr)
+
+
 # ------------------------------------------------ no argv reaches exit 3
 
 FUZZ_FLOATS = ["nan", "inf", "-inf", "-0.0", "0", "1e308", "5e-324", "", "x", "-1", "1", "10"]
@@ -782,10 +816,10 @@ JSON_SCALARS = (
     | st.integers()
     | JSON_FLOATS
     | JSON_TEXT
-    # all-float lists take the writer's C-encoder path
+    # all-float lists, as lists and as tuples, and lists mixing them with
+    # ints or bools
     | st.lists(JSON_FLOATS, min_size=1)
     | st.lists(JSON_FLOATS, min_size=1).map(tuple)
-    # lists mixing floats with ints or bools do not
     | st.lists(JSON_FLOATS | st.integers() | st.booleans(), min_size=1)
 )
 JSON_VALUES = st.recursive(
@@ -964,7 +998,8 @@ def test_bids_json_formats_each_distinct_bid_once_when_few(monkeypatch, bids, ca
 def test_bids_json_piece_edges(monkeypatch, per_piece):
     monkeypatch.setattr("spotbid.cli._BIDS_PER_PIECE", per_piece)
     distinct = tuple(0.25 + k / 64 for k in range(4 * per_piece + 2))
-    for bids in (distinct, (2.6,) * len(distinct), (0.3, 2.6) * len(distinct)):
+    below = tuple(1e-5 + k * 1e-6 for k in range(len(distinct)))  # round()'s path
+    for bids in (distinct, (2.6,) * len(distinct), (0.3, 2.6) * len(distinct), below):
         for count in range(1, len(bids) + 1):
             expected = json.dumps([round(bid, 6) for bid in bids[:count]], indent=2)
             pieces = list(_bids_json(bids[:count], 0))
@@ -974,11 +1009,23 @@ def test_bids_json_piece_edges(monkeypatch, per_piece):
             assert len(pieces) == 2 + -(-(count - 1) // per_piece)
 
 
-def test_bids_json_pieces_bound_transient_memory():
-    # 300k distinct bids make 5.4 MB of text.  Built whole, the text and its
-    # copies peaked at 13.4 MB (tracemalloc, Python 3.11), and 44.7 MB at 1M
-    # bids; written in pieces of 65,536 bids, the peak is 3.5 MB at either.
-    bids = tuple(0.256 + k * 7.8e-6 for k in range(300_000))
+@pytest.mark.parametrize(
+    "start, step, limit",
+    [
+        # 300k distinct bids make 5.4 MB of text.  Built whole, the text and
+        # its copies peaked at 13.4 MB (tracemalloc, Python 3.11), and 44.7 MB
+        # at 1M bids; written in pieces of 65,536 bids, the peak is 3.5 MB at
+        # either.
+        (0.256, 7.8e-6, 6_000_000),
+        # Below 1e-4 each piece is rounded and written by the C encoder: 6.7 MB
+        # at 300k bids and at 1M.  Rounded and written whole, they peaked at
+        # 24.8 MB and 82.9 MB.
+        (1e-5, 3e-10, 12_000_000),
+    ],
+    ids=["in-window", "below-window"],
+)
+def test_bids_json_pieces_bound_transient_memory(start, step, limit):
+    bids = tuple(start + k * step for k in range(300_000))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -987,7 +1034,7 @@ def test_bids_json_pieces_bound_transient_memory():
     finally:
         tracemalloc.stop()
     assert size > 5_000_000
-    assert peak < 6_000_000
+    assert peak < limit
 
 
 @pytest.mark.parametrize("include_bids", [True, False])

@@ -674,8 +674,9 @@ def _spy_on_decodes(monkeypatch):
 
 
 # The hooked decode is the fast path; the text is decoded again, without the
-# hook, only when that decode raised or yielded the top-level object as a
-# checked record.
+# hook, only when that decode ran out of depth or yielded the top-level
+# object as a checked record.  The hook never raises JSONDecodeError, so
+# invalid JSON fails the hooked decode where and as the plain one would.
 @pytest.mark.parametrize(
     "text, decodes",
     [
@@ -687,10 +688,16 @@ def _spy_on_decodes(monkeypatch):
         (_wrapped([*AWS_CLEAN, dict(AWS_NESTED, InstanceType={"Name": "m3.large"})]), 1),
         (json.dumps(AWS_NESTED), 2),
         (_wrapped(AWS_CLEAN, **AWS_NESTED), 2),
-        ('{"SpotPriceHistory": [', 2),
+        ('{"SpotPriceHistory": [', 1),
+        ("", 1),
+        ("{nope", 1),
+        (_wrapped(AWS_CLEAN)[:-1], 1),  # the benchmark's document without its last }
+        (_wrapped([*AWS_CLEAN, _record("yesterday")]) + " x", 1),
+        ("[" + json.dumps(AWS_NESTED) + ",]", 1),
     ],
     ids=["clean", "padded-stamp", "z-stamp", "int-label", "bad-record", "object-label",
-         "lone-record", "wrapper-is-a-record", "undecodable"],
+         "lone-record", "wrapper-is-a-record", "undecodable", "empty", "bare-word",
+         "unclosed", "trailing-text", "trailing-comma"],
 )
 def test_parse_aws_json_decodes_again_only_off_the_fast_path(monkeypatch, text, decodes):
     calls = _spy_on_decodes(monkeypatch)
