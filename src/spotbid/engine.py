@@ -7,13 +7,11 @@ cells across forked processes; the results are those of a serial run.
 from __future__ import annotations
 
 import math
-import os
-import sys
 from collections import namedtuple
 from collections.abc import Sequence
 from itertools import groupby, product
 
-from . import metrics
+from . import forking, metrics
 from .band_model import PriceBand
 from .controller import PiGains
 from .errors import UsageError
@@ -34,6 +32,19 @@ ENGINE_VERSION = "0.1.0"
 # pays for itself from about 4.6k cell-steps.  Each share must hold half the
 # threshold, about twice that, so a sweep forks only for a clear gain.
 FORK_MIN_CELL_STEPS = 20_000
+
+# Bounds on the work a request may ask for, checked before any of it is
+# allocated (tracemalloc, 2-CPU Intel Xeon host, Python 3.11.7):
+# - a sweep keeps about 630 bytes of Python heap per cell whatever the
+#   trace's length, so 250k cells hold about 160 MB;
+# - a cell-step costs about 0.35 us, so 10^10 cell-steps are about one
+#   CPU-hour;
+# - a backtest strategy keeps one bid per point until the report is written,
+#   32.7 bytes a point for a causal mean, so 64 strategies over 1M points
+#   hold about 2.1 GB.
+MAX_SWEEP_CELLS = 250_000
+MAX_SWEEP_CELL_STEPS = 10**10
+MAX_STRATEGIES = 64
 
 
 class TraceMeta(namedtuple(
@@ -140,6 +151,10 @@ def backtest(
     validate(trace)
     if not specs:
         raise UsageError("at least one strategy is required")
+    if len(specs) > MAX_STRATEGIES:
+        raise UsageError(
+            f"{len(specs)} strategies are above the limit of {MAX_STRATEGIES} strategies"
+        )
     for spec in specs:
         validate_spec(spec, band, require_negative_gains=not allow_positive_gains)
 
@@ -188,10 +203,24 @@ def sweep(
     applied values, deduplicated, with relative rationality computed over
     the whole sweep and Pareto membership marked.  ``parallel`` is kept for
     callers that pass it and selects nothing.  The sweep chooses by itself:
-    see _share_count for when it forks.  Forked or not, the points and any
-    DataError (the first failing cell's, in cell order) are the serial ones.
+    it forks at FORK_MIN_CELL_STEPS or more (see forking.share_count), with
+    no more shares than cells.  Forked or not, the points and any DataError
+    (the first failing cell's, in cell order) are the serial ones.  A grid
+    over MAX_SWEEP_CELLS cells or MAX_SWEEP_CELL_STEPS cell-steps is a
+    UsageError, raised before any cell is built.
     """
     validate(trace)
+    n_cells = math.prod(len(set(grid)) for grid in config[1:5])  # the distinct cells
+    if n_cells > MAX_SWEEP_CELLS:
+        raise UsageError(
+            f"a sweep of {n_cells} cells is above the limit of {MAX_SWEEP_CELLS} cells"
+        )
+    if n_cells * len(trace) > MAX_SWEEP_CELL_STEPS:
+        raise UsageError(
+            f"a sweep of {n_cells} cells over {len(trace)} points is "
+            f"{n_cells * len(trace)} cell-steps, above the limit of "
+            f"{MAX_SWEEP_CELL_STEPS} cell-steps"
+        )
     cells = sorted(
         {
             (-kp_mag, -ki_mag, pre, post)
@@ -203,7 +232,9 @@ def sweep(
             )
         }
     )
-    shares = _share_count(len(cells), len(trace))
+    shares = min(
+        len(cells), forking.share_count(len(cells) * len(trace), FORK_MIN_CELL_STEPS)
+    )
     if shares > 1:
         summaries = _score_forked(cells, trace, config, shares)
     else:
@@ -240,26 +271,6 @@ def _score_cells(
     return summaries
 
 
-def _share_count(n_cells: int, n_steps: int) -> int:
-    """How many processes score a sweep's cells; 1 or less means serial.
-
-    A sweep forks only where os.fork and os.sched_getaffinity exist and no
-    second thread runs (forking a threaded process can copy a held lock).
-    Then it takes one share per usable CPU, but no more shares than cells,
-    and few enough that each holds about half of FORK_MIN_CELL_STEPS.
-    """
-    threading = sys.modules.get("threading")  # a process without it has one thread
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or (
-        threading is not None and threading.active_count() > 1
-    ):
-        return 1
-    return min(
-        len(os.sched_getaffinity(0)),
-        n_cells,
-        2 * n_cells * n_steps // FORK_MIN_CELL_STEPS,
-    )
-
-
 def _score_forked(
     cells: Sequence[tuple[float, float, float, float]],
     trace: PriceTrace,
@@ -267,32 +278,25 @@ def _score_forked(
     shares: int,
 ) -> list[metrics.MetricsSummary]:
     """_score_cells over contiguous shares: this process scores the first,
-    a forked child each of the others.
+    a forked child each of the others, which sends (success_rate, distance)
+    per cell as doubles.
 
     A child that cannot start, fails or sends the wrong number of bytes has
     its share scored again here, which raises the serial DataError.  If the
-    first share raises, every child is killed.  Every child is read to EOF
-    and reaped before this returns or raises.
+    first share raises, every child is killed.
     """
     from array import array  # loaded only by a sweep that forks
 
     bounds = [len(cells) * k // shares for k in range(shares + 1)]
     parts = [cells[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    children = []
-    try:
-        for part in parts[1:]:
-            children.append(_fork_scorer(part, trace, config))
-        try:
-            summaries = _score_cells(parts[0], trace, config)
-        except BaseException:
-            # The first error in cell order: no child's result is needed.
-            import signal
 
-            for child in filter(None, children):
-                os.kill(child[0], signal.SIGKILL)
-            raise
-    finally:
-        payloads = [_reap(child) for child in children]
+    def doubles(part):  # run in a child
+        return array("d", [x for m in _score_cells(part, trace, config) for x in m[:2]])
+
+    summaries, payloads = forking.run_shares(
+        lambda: _score_cells(parts[0], trace, config),
+        [lambda part=part: doubles(part) for part in parts[1:]],
+    )
     for part, payload in zip(parts[1:], payloads):
         if payload is None or len(payload) != 16 * len(part):  # 2 doubles a cell
             summaries += _score_cells(part, trace, config)
@@ -300,57 +304,6 @@ def _score_forked(
         values = array("d", payload)
         summaries += map(metrics.MetricsSummary, values[::2], values[1::2])
     return summaries
-
-
-def _fork_scorer(
-    cells: Sequence[tuple[float, float, float, float]],
-    trace: PriceTrace,
-    config: SweepConfig,
-) -> tuple[int, int] | None:
-    """Fork a child that writes (success_rate, distance) per cell to a pipe
-    as doubles; its (pid, read end), or None if it could not start.
-
-    The child ends in os._exit, so it never returns into the caller, runs no
-    exit handler and flushes no stdio buffer it shares with this process.
-    """
-    from array import array  # loaded only by a sweep that forks
-
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        # Whatever the child raises, its only outcome is a nonzero status:
-        # the parent then scores this share itself and raises the error.
-        status = 1
-        try:
-            os.close(read_fd)
-            summaries = _score_cells(cells, trace, config)
-            view = memoryview(array("d", [x for m in summaries for x in m[:2]])).cast("B")
-            while view:
-                view = view[os.write(write_fd, view):]
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _reap(child: tuple[int, int] | None) -> bytes | None:
-    """Read a child's pipe to EOF and wait for it: its bytes if it exited 0."""
-    if child is None:
-        return None
-    pid, read_fd = child
-    with open(read_fd, "rb") as pipe:
-        payload = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    return payload if status == 0 else None
 
 
 def pareto_flags(points: Sequence[tuple[float, float]]) -> list[bool]:

@@ -16,12 +16,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import marshal
 import math
+import re
 from collections import namedtuple
 from datetime import date, datetime, timezone
 from itertools import islice
 from operator import attrgetter, itemgetter, lt
 
+from . import forking
 from .band_model import PriceBand
 from .errors import DataError
 
@@ -39,6 +42,22 @@ _AWS_FIELDS = (
     "ProductDescription",
     "AvailabilityZone",
 )
+
+# Bytes of an AWS document at or above which its decode is split across the
+# usable CPUs.  The hooked decode reads about 10 ns a byte, and a fork with
+# its pipe and waitpid costs 1.6-2.7 ms (2-CPU Intel Xeon host, Python
+# 3.11.7, in a process holding the 16.75 MB benchmark document), so a child
+# pays for itself from about 270 KB.  Each share must hold half the
+# threshold, about twice that, so a decode forks only for a clear gain.
+FORK_MIN_BYTES = 1 << 20
+
+# How an AWS document that may be decoded in shares opens: an array, or an
+# object whose first key is SpotPriceHistory, holding an array; group 1 is
+# set for the object.  A share is cut before a "," that precedes a "{".
+_AWS_OPENER = re.compile(
+    rb'[ \t\n\r]*(\{[ \t\n\r]*"SpotPriceHistory"[ \t\n\r]*:[ \t\n\r]*)?\['
+)
+_AWS_CUT = re.compile(rb",[ \t\n\r]*\{")
 
 # What _record_check's check returns for a record the filter drops: false,
 # and a tuple, which JSON never yields.
@@ -436,37 +455,43 @@ def parse_aws_json(
     object passed as a record) is followed by a plain decode, without the
     hook; invalid JSON fails the hooked decode where it would fail the plain
     one, with the same message.
+
+    Bytes of FORK_MIN_BYTES or more that open as an array or as
+    {"SpotPriceHistory": [ are decoded in shares, one per usable CPU, where
+    os.fork exists and no second thread runs (see _kept_in_shares and
+    forking.share_count).  Every share is decoded with the same hook, and
+    any doubt about a share falls back to the decode above, so the trace and
+    any error are the serial ones.
     """
-    # The input bytes and the decoded text are each as large as the file.
-    # Each is freed as soon as it is no longer read, which lowers the peak
-    # memory: the bytes once decoded (if the caller holds no other reference,
-    # as when the CLI passes them straight in), the text once decoded.
-    text = _decode(raw)
-    del raw
     check = _record_check(trace_filter)
-    try:
-        doc = json.loads(text, object_hook=check)
-    except json.JSONDecodeError as exc:  # the hook never raises it
-        raise DataError(f"invalid JSON: {exc}") from None
-    except RecursionError:
-        doc = _SKIPPED  # a tuple: the plain decode, which nests less deep, runs
-    if type(doc) is tuple:
+    kept = _kept_in_shares(raw, check) if isinstance(raw, bytes) else None
+    if kept is None:
+        # The input bytes and the decoded text are each as large as the file.
+        # Each is freed as soon as it is no longer read, which lowers the
+        # peak memory: the bytes once decoded (if the caller holds no other
+        # reference, as when the CLI passes them straight in), the text once
+        # decoded.
+        text = _decode(raw)
+        del raw
         try:
-            doc = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+            doc = json.loads(text, object_hook=check)
+        except json.JSONDecodeError as exc:  # the hook never raises it
             raise DataError(f"invalid JSON: {exc}") from None
-    del text
-    records = doc.get("SpotPriceHistory") if type(doc) is dict else doc
-    if type(doc) is dict and records is None:
-        raise DataError("JSON object lacks a 'SpotPriceHistory' array")
-    if not isinstance(records, list):
-        raise DataError("expected an array of spot-price records")
-    if not set(map(type, records)) <= {tuple}:
-        for idx, rec in enumerate(records):
-            if type(rec) is not tuple:
-                records[idx] = check(rec, idx)
-    kept = list(filter(None, records))  # drops each _SKIPPED
-    del doc, records
+        except RecursionError:
+            doc = _SKIPPED  # a tuple: the plain decode, which nests less deep, runs
+        if type(doc) is tuple:
+            try:
+                doc = json.loads(text)
+            except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+                raise DataError(f"invalid JSON: {exc}") from None
+        del text
+        records = doc.get("SpotPriceHistory") if type(doc) is dict else doc
+        if type(doc) is dict and records is None:
+            raise DataError("JSON object lacks a 'SpotPriceHistory' array")
+        if not isinstance(records, list):
+            raise DataError("expected an array of spot-price records")
+        kept = list(filter(None, _check_declined(records, check)))  # drops each _SKIPPED
+        del doc, records
     if not kept:
         raise DataError("zero records after filtering")
 
@@ -479,6 +504,113 @@ def parse_aws_json(
         product=trace_filter.product or _common_label(products),
         zone=trace_filter.zone or _common_label(zones),
     )
+
+
+def _check_declined(records: list, check) -> list:
+    """records, with each record the hooked decode declined (anything but a
+    tuple) replaced in place by check(rec, idx); idx counts from 0."""
+    if not set(map(type, records)) <= {tuple}:
+        for idx, rec in enumerate(records):
+            if type(rec) is not tuple:
+                records[idx] = check(rec, idx)
+    return records
+
+
+def _kept_in_shares(raw: bytes, check) -> list | None:
+    """The kept tuples of raw in input order, decoded in shares, or None
+    when the serial decode must run.
+
+    Only bytes of FORK_MIN_BYTES or more are cut, and only when they open as
+    an array or as {"SpotPriceHistory": [ (_AWS_OPENER).  Each cut is the
+    first "," + whitespace + "{" at or past an even split point.  This
+    process decodes the first share, raw up to the first cut plus the
+    closers; a forked child decodes each of the others, "[" + its bytes, the
+    last one through raw_decode.  Each share is decoded with check as its
+    hook, as the serial decode is.
+
+    A cut is trusted because every share decodes, the first one to an array
+    or to an object with the one key SpotPriceHistory, and the last one is
+    followed only by whitespace and the object's "}".  Then each cut lies
+    between two records of the record array: a cut inside a string leaves
+    it unterminated, a cut at another depth leaves the closers unbalanced,
+    and a key after the array fails the last share's check.  A duplicate
+    key before the cut is overwritten, in the share as in the serial decode.
+
+    A child checks the records its share declined with the helpers and
+    sends its kept tuples as marshal bytes.  This process checks its own
+    declined records only once every share came back, so a DataError it
+    raises is the first in input order.  Any doubt returns None: invalid
+    JSON or UTF-8, nesting too deep, a bad record in a child's share, a
+    child that died or a fork that failed.  The serial decode then gives
+    the trace or the first error.
+    """
+    shares = forking.share_count(len(raw), FORK_MIN_BYTES)
+    opener = _AWS_OPENER.match(raw) if shares > 1 else None
+    if opener is None:
+        return None
+    ends: list[int] = []  # where each share but the last ends
+    starts = [0]  # where each share starts
+    for k in range(1, shares):
+        cut = _AWS_CUT.search(raw, max(len(raw) * k // shares, starts[-1], opener.end()))
+        if cut is None:
+            break
+        ends.append(cut.start())
+        starts.append(cut.end() - 1)
+    if not ends:
+        return None
+    ends.append(len(raw))
+    wrapped = opener.group(1) is not None
+
+    def child_share(start: int, end: int) -> bytes:
+        last = end == len(raw)
+        records = _share_records(
+            b"".join((b"[", memoryview(raw)[start:end], b"" if last else b"]")),
+            check,
+            ("}" if wrapped else "") if last else None,
+        )
+        return marshal.dumps(list(filter(None, _check_declined(records, check))))
+
+    def first_share() -> list:
+        closer = b"]}" if wrapped else b"]"
+        return _share_records(b"".join((memoryview(raw)[:ends[0]], closer)), check, None)
+
+    try:
+        records, payloads = forking.run_shares(
+            first_share,
+            [lambda s=s, e=e: child_share(s, e) for s, e in zip(starts[1:], ends[1:])],
+        )
+        if None in payloads:
+            return None
+        rest = list(map(marshal.loads, payloads))
+    except (ValueError, RecursionError, EOFError):  # marshal.loads(b"") raises EOFError
+        return None
+    kept = list(filter(None, _check_declined(records, check)))
+    del records
+    for part in rest:
+        kept += part
+    return kept
+
+
+def _share_records(share: bytes, check, tail: str | None) -> list:
+    """The record array of one share of an AWS document, decoded with check
+    as the hook; ValueError or RecursionError if the share is in doubt.
+
+    tail is None for a share that json.loads decodes whole, or the text
+    that may follow the last share's array, besides whitespace.
+    """
+    text = share.decode("utf-8")  # a cut falls on a comma, never inside a character
+    del share
+    if tail is None:
+        doc = json.loads(text, object_hook=check)
+    else:
+        doc, end = json.JSONDecoder(object_hook=check).raw_decode(text)
+        if text[end:].strip(" \t\n\r") != tail:
+            raise ValueError("text after the record array")
+    if type(doc) is dict and len(doc) == 1:  # the first share of an object
+        doc = doc.get("SpotPriceHistory")
+    if type(doc) is not list:
+        raise ValueError("not a record array")
+    return doc
 
 
 def validate(trace: PriceTrace) -> PriceTrace:

@@ -39,6 +39,14 @@ def cli_env(**overrides):
     return env
 
 
+def limit_address_space(size=400 << 20):
+    """Cap the calling process's address space at size bytes; for
+    preexec_fn, so that only a child runs under the limit."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (size, size))
+
+
 def make_series(bids, name="test", kind=sb.StrategyKind.ONDEMAND) -> sb.BidSeries:
     """Bid series wrapping raw bid values with a placeholder spec."""
     return sb.BidSeries(

@@ -23,7 +23,7 @@ from spotbid.cli import (
     render_report,
     report_to_obj,
 )
-from conftest import FIXTURES, cli_env, make_trace
+from conftest import FIXTURES, cli_env, limit_address_space, make_trace
 
 BAND_ARGS = ["--floor", "0.256", "--ceiling", "2.600"]
 TRACE = str(FIXTURES / "stephold_1001.csv")
@@ -668,13 +668,6 @@ def test_full_stdout_is_a_data_error(argv):
     assert "Traceback" not in proc.stderr
 
 
-def _limit_address_space():
-    """Cap the calling process's address space at 400 MB."""
-    import resource
-
-    resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
-
-
 GRID_1500 = ",".join(str(k) for k in range(1, 1501))
 
 
@@ -682,22 +675,24 @@ GRID_1500 = ",".join(str(k) for k in range(1, 1501))
 @pytest.mark.parametrize(
     "argv, code, stderr",
     [
-        (["sweep", "--kp", GRID_1500, "--ki", GRID_1500], 2,
-         "error: out of memory while running sweep\n"),
-        (["backtest", "--strategies", ",".join(["mean"] * 20_000)], 2,
-         "error: out of memory while running backtest\n"),
+        (["sweep", "--kp", GRID_1500, "--ki", GRID_1500], 1,
+         "error: a sweep of 2250000 cells is above the limit of 250000 cells\n"),
+        (["backtest", "--strategies", ",".join(["mean"] * 20_000)], 1,
+         "error: 20000 strategies are above the limit of 64 strategies\n"),
         (["backtest"], 0, ""),
     ],
     ids=["sweep-grid", "strategy-list", "plain-backtest"],
 )
 def test_out_of_memory_is_a_data_error(argv, code, stderr):
-    # A 2.25M-cell grid and 20,000 strategies each outgrow 400 MB; a plain
-    # backtest runs well within it.  Only the child runs under the limit.
+    # A 2.25M-cell grid and 20,000 strategies would each outgrow 400 MB;
+    # both are refused as usage errors before anything is allocated.  A
+    # plain backtest runs well within the limit.  Only the child runs under
+    # it.  test_aws_fork covers a run that does exhaust memory.
     command, *flags = argv
     proc = subprocess.run(
         [sys.executable, "-m", "spotbid.cli", command, "--trace", TRACE, *BAND_ARGS, *flags],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=cli_env(),
-        timeout=120, preexec_fn=_limit_address_space,
+        timeout=120, preexec_fn=limit_address_space,
     )
     assert (proc.returncode, proc.stderr) == (code, stderr)
 

@@ -192,3 +192,36 @@ def test_sweep_config_validation(band):
         sb.SweepConfig(band=band, kp_magnitudes=(), ki_magnitudes=(1.0,))
     with pytest.raises(ValueError):
         sb.SweepConfig(band=band, kp_magnitudes=(-1.0,), ki_magnitudes=(1.0,))
+
+
+def test_backtest_strategy_count_limit(band):
+    trace = make_trace([1.0, 2.0, 1.5])
+    specs = specs_for(sb.StrategyKind.ONDEMAND) * sb.engine.MAX_STRATEGIES
+    assert len(sb.backtest(trace, specs, band).results) == sb.engine.MAX_STRATEGIES
+    with pytest.raises(sb.UsageError, match=r"^65 strategies are above the limit of 64 "):
+        sb.backtest(trace, specs + specs[:1], band)
+
+
+def test_sweep_limits_are_checked_before_any_cell_is_built(band, monkeypatch):
+    def no_product(*grids):
+        raise AssertionError("a cell was built")
+
+    monkeypatch.setattr(sb.engine, "product", no_product)
+    trace = make_trace([1.0 + i % 7 / 10 for i in range(50_001)])
+    grid = [float(k) for k in range(1, 501)]
+    config = sb.SweepConfig(band, grid, grid)  # 250,000 cells
+    with pytest.raises(sb.UsageError) as info:
+        sb.sweep(trace, config)
+    assert str(info.value) == (
+        "a sweep of 250000 cells over 50001 points is 12500250000 cell-steps, "
+        "above the limit of 10000000000 cell-steps"
+    )
+    config = sb.SweepConfig(band, grid + [501.0], grid)
+    with pytest.raises(sb.UsageError, match=r"^a sweep of 250500 cells is above the limit of "):
+        sb.sweep(make_trace([1.0, 2.0]), config)
+
+
+def test_sweep_limits_count_distinct_cells(band, stephold_trace):
+    # 300,000 listed values, one distinct cell.
+    config = sb.SweepConfig(band, [10.0] * 300_000, [10.0, 10.0])
+    assert len(sb.sweep(stephold_trace, config)) == 1
