@@ -126,23 +126,13 @@ def _add_output_flags(parser: argparse.ArgumentParser, *formats: str) -> None:
         )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spotbid",
-        description="Deterministic backtesting of spot-price bidding strategies.",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    ingest = commands.add_parser(
-        "ingest", help="parse, filter, validate, and normalize a price trace"
-    )
+def _add_ingest(ingest: argparse.ArgumentParser) -> None:
     _add_input_flags(ingest)
     _add_output_flags(ingest, "csv")
     ingest.set_defaults(handler=_cmd_ingest)
 
-    bt = commands.add_parser(
-        "backtest", help="replay strategies against a trace and score them"
-    )
+
+def _add_backtest(bt: argparse.ArgumentParser) -> None:
     _add_input_flags(bt)
     _add_band_flags(bt)
     bt.add_argument(
@@ -205,9 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bt.set_defaults(handler=_cmd_backtest)
 
-    sw = commands.add_parser(
-        "sweep", help="grid-sweep feedback gains/adjustments and mark the frontier"
-    )
+
+def _add_sweep(sw: argparse.ArgumentParser) -> None:
     _add_input_flags(sw)
     _add_band_flags(sw)
     for flag, default, what in (
@@ -227,9 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sw, "json", "csv")
     sw.set_defaults(handler=_cmd_sweep)
 
-    sy = commands.add_parser(
-        "synth", help="generate a deterministic step-hold price trace"
-    )
+
+def _add_synth(sy: argparse.ArgumentParser) -> None:
     _add_band_flags(sy)
     sy.add_argument(
         "--points", type=int, default=1000, help="number of trace points"
@@ -250,6 +238,30 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sy)
     sy.set_defaults(handler=_cmd_synth)
 
+
+# Each subcommand by name: its help line and what adds its arguments.
+_COMMANDS = {
+    "ingest": ("parse, filter, validate, and normalize a price trace", _add_ingest),
+    "backtest": ("replay strategies against a trace and score them", _add_backtest),
+    "sweep": ("grid-sweep feedback gains/adjustments and mark the frontier", _add_sweep),
+    "synth": ("generate a deterministic step-hold price trace", _add_synth),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The spotbid parser.  Every subcommand is added with its help line, so
+    usage and errors above the subcommand read the same either way; with a
+    command, only that subcommand gets its arguments, which saves building
+    the other three (a few ms per run)."""
+    parser = argparse.ArgumentParser(
+        prog="spotbid",
+        description="Deterministic backtesting of spot-price bidding strategies.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        subparser = commands.add_parser(name, help=help_line)
+        if command is None or command == name:
+            add_arguments(subparser)
     return parser
 
 
@@ -682,8 +694,11 @@ def _configure_logging() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage problems; remap
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1

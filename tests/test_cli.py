@@ -775,6 +775,59 @@ def test_fuzz_gate_draws_every_flag_of_every_subcommand(fuzz_flags):
         assert flags - {"-h", "--help"} == set(fuzz_flags[name]), name
 
 
+def _parsed(parser, argv):
+    """What parse_args gives for argv: the namespace or the exit code, and
+    the text written to stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, stdout.getvalue(), stderr.getvalue()
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        ["--help"],
+        [],
+        ["--trace", TRACE, *BAND_ARGS],
+        ["--trace", TRACE, "--aws-json", AWS, *BAND_ARGS],
+        ["--floor", "x", "--ceiling", "nan", "--points", "1.5"],
+        ["--kp", "-1", "--ki", "1,x", "--mode", "sideways", "--format", "xml"],
+        ["--bogus", "--trace"],
+        ["backtest"],
+    ],
+    ids=["help", "bare", "usual", "two-sources", "bad-numbers", "bad-choices",
+         "unknown-flag", "command-twice"],
+)
+@pytest.mark.parametrize("command", ["ingest", "backtest", "sweep", "synth"])
+def test_a_parser_built_for_its_command_reads_argv_as_the_full_parser(command, tail):
+    # The help text, each usage error and its exit code, and the parsed
+    # flags; tails that do not fit the command are usage errors to compare.
+    argv = [command, *tail]
+    assert _parsed(build_parser(command), argv) == _parsed(build_parser(), argv)
+
+
+def test_main_builds_only_the_subcommand_that_runs(monkeypatch, capsys):
+    def actions_built(argv):
+        """The number of actions of each subparser main built for argv."""
+        parsers = []
+        monkeypatch.setattr(sb.cli, "build_parser", lambda command=None: parsers.append(
+            build_parser(command)) or parsers[-1])
+        main(argv)
+        (commands,) = [a for a in parsers[0]._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        return {name: len(sub._actions) for name, sub in commands.choices.items()}
+
+    built = actions_built(["synth", *BAND_ARGS, "--points", "3"])
+    assert built.pop("synth") > 1
+    assert set(built.values()) == {1}  # --help alone
+    assert min(actions_built(["--help"]).values()) > 1
+    capsys.readouterr()
+
+
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_no_argv_reaches_an_internal_error(fuzz_flags, data):

@@ -82,15 +82,18 @@ def reference_parse_csv(raw: bytes) -> sb.PriceTrace:
             f"malformed header at line 1: expected 'timestamp,price', got {header!r}"
         )
     points = []
-    for line_no, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise sb.DataError(f"expected 2 columns at line {line_no}, got {len(row)}")
-        where = f"line {line_no}"
-        ts = sb.trace._parse_timestamp(row[0], where)
-        price = sb.trace._parse_price(row[1], where)
-        points.append((ts, price))
+    try:
+        for line_no, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise sb.DataError(f"expected 2 columns at line {line_no}, got {len(row)}")
+            where = f"line {line_no}"
+            ts = sb.trace._parse_timestamp(row[0], where)
+            price = sb.trace._parse_price(row[1], where)
+            points.append((ts, price))
+    except csv.Error as exc:
+        raise sb.DataError(f"malformed CSV at line {rows.line_num}: {exc}") from None
     if not points:
         raise sb.DataError("empty body: no data rows after the header")
     return sb.PriceTrace(
@@ -165,6 +168,93 @@ def test_parse_csv_matches_reference_loop(rows, odd, bom):
     for at, row in odd:
         rows.insert(at, row)
     raw = (("\ufeff" if bom else "") + "timestamp,price\n" + "\n".join(rows)).encode()
+    assert _parse_outcome(sb.parse_csv, raw) == _parse_outcome(reference_parse_csv, raw)
+
+
+def _quoted(row, spans_lines):
+    """row with its first cell quoted, holding a line end if spans_lines."""
+    stamp, comma, rest = row.partition(",")
+    return f'"{stamp}{chr(10) if spans_lines else ""}"{comma}{rest}'
+
+
+# Rows in the forms the chunk pass hands to the row loop, or converts after
+# folding "\r\n" or converting to UTC.
+CSV_EDGE_ROW = st.one_of(
+    CSV_ROW,
+    CSV_ODD_ROW,
+    st.builds(_quoted, CSV_ROW, st.booleans()),
+    st.sampled_from(
+        ["2020-01-01T00:00:00Z,1.5\r", "2020-01-01T00:00:00Z,1.5\r\t", "\r", "\r "]
+    ),
+)
+
+
+@settings(max_examples=400)
+@given(
+    rows=st.lists(CSV_ROW, max_size=12),
+    odd=st.lists(st.tuples(st.integers(0, 12), CSV_EDGE_ROW), max_size=3),
+    line_end=st.sampled_from(["\n", "\r\n"]),
+    chunk=st.sampled_from([1, 7, 40, 64]),
+)
+@example(rows=["2020-01-01T05:00:00+05:00,1.5"] * 3, odd=[], line_end="\r\n", chunk=40)
+@example(rows=[], odd=[(0, "0001-01-01T00:00:00+05:00,1.5")], line_end="\n", chunk=64)
+def test_parse_csv_matches_reference_loop_at_every_chunk_size(rows, odd, line_end, chunk):
+    # Chunks of a few bytes cut the rows at every place a chunk may end, so
+    # each row meets the chunk pass, the row loop after it and the hand-off.
+    for at, row in odd:
+        rows.insert(at, row)
+    raw = ("timestamp,price" + line_end + line_end.join(rows)).encode()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sb.trace, "CSV_CHUNK_BYTES", chunk)
+        assert _parse_outcome(sb.parse_csv, raw) == _parse_outcome(reference_parse_csv, raw)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["before", "at", "after"])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("2020-01-01T00:00:00Z,abc", "unparseable price 'abc' at line {}"),
+        ("2020-01-01T00:00:00Z,1,2", "expected 2 columns at line {}, got 3"),
+        ("2020-01-01T00:00:00,1.5", "timestamp '2020-01-01T00:00:00' at line {} lacks a UTC offset"),
+        # float() reads these two prices; csv words the rest of the first
+        # error differently across Python versions
+        ("2020-01-01T00:00:00Z,1.5\r ",
+         "malformed CSV at line {}: new-line character seen in unquoted field"),
+        ("2020-01-01T00:00:00Z,1.5" + " " * 131_072,
+         "malformed CSV at line {}: field larger than field limit (131072)"),
+    ],
+    ids=["price", "columns", "naive", "lone-cr", "over-field-limit"],
+)
+def test_a_bad_row_at_a_chunk_cut_keeps_its_line_number(bad, message, offset):
+    rows = [f"{sb.format_timestamp(1577836800 + 60 * i)},{1.5:.17f}" for i in range(3000)]
+    head = "timestamp,price\n"
+    raw = (head + "".join(row + "\n" for row in rows)).encode()
+    # The first chunk after the header ends at the last line end it holds.
+    cut = raw.rfind(b"\n", len(head), len(head) + sb.trace.CSV_CHUNK_BYTES) + 1
+    line = raw.count(b"\n", 0, cut) + 1 + offset  # the first line of the second chunk, + offset
+    rows[line - 2] = bad
+    raw = (head + "".join(row + "\n" for row in rows)).encode()
+    result = _parse_outcome(sb.parse_csv, raw)
+    assert result.startswith(f"DataError: {message.format(line)}")
+    assert result == _parse_outcome(reference_parse_csv, raw)
+
+
+def test_a_quote_hands_the_rest_to_the_row_loop_with_its_line_numbers():
+    # A quoted stamp holding a line end in the second chunk: from there csv
+    # counts physical lines and the row loop counts rows, as before.
+    rows = [f"{sb.format_timestamp(1577836800 + 60 * i)},{1.5:.17f}" for i in range(3000)]
+    rows[1000] = '"2020-01-01T00:00:00Z\n",1.5'
+    rows[2000] = "2020-01-01T00:00:00Z,-1"
+    raw = ("timestamp,price\n" + "".join(row + "\n" for row in rows)).encode()
+    assert raw.index(b'"') > sb.trace.CSV_CHUNK_BYTES
+    assert _parse_outcome(sb.parse_csv, raw) == (
+        "DataError: negative price '-1' at line 2002"
+    ) == _parse_outcome(reference_parse_csv, raw)
+    rows[2000] = "2020-01-01T00:00:00Z,1.5\r2"
+    raw = ("timestamp,price\n" + "".join(row + "\n" for row in rows)).encode()
+    assert _parse_outcome(sb.parse_csv, raw).startswith(
+        "DataError: malformed CSV at line 2003: new-line character"
+    )
     assert _parse_outcome(sb.parse_csv, raw) == _parse_outcome(reference_parse_csv, raw)
 
 
