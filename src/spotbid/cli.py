@@ -315,15 +315,6 @@ def report_to_obj(report: BacktestReport, include_bids: bool) -> dict[str, objec
     }
 
 
-class _Bids:
-    """A bid tuple that _json writes as the list _rounded(bids)."""
-
-    __slots__ = ("bids",)
-
-    def __init__(self, bids: tuple[float, ...]) -> None:
-        self.bids = bids
-
-
 def _fixed(bids: tuple[float, ...]) -> str:
     """Each bid as "%.6f" with its trailing zeros stripped, then ","."""
     return (
@@ -387,49 +378,39 @@ def _bids_json(bids: tuple[float, ...], depth: int) -> Iterator[str]:
     yield body(bids[last:])[: -len(sep)] + pad[:-2] + "]"
 
 
-def _json(value: object, depth: int = 0) -> Iterator[str]:
-    """The text json.dumps(value, indent=2) gives, for str-keyed values, in
-    pieces: a caller can write each piece as it comes instead of the whole.
-    Each _Bids array comes in _bids_json's bounded pieces, and the layout
-    around them is short pieces.
-    """
-    if type(value) is _Bids:
-        yield from _bids_json(value.bids, depth)
-        return
-    pad = "\n" + "  " * (depth + 1)
-    if isinstance(value, dict) and value:
-        opener = "{"
-        for key, item in value.items():
-            yield f"{opener}{pad}{json.dumps(key)}: "
-            yield from _json(item, depth + 1)
-            opener = ","
-        yield pad[:-2] + "}"
-    elif isinstance(value, (list, tuple)) and value:
-        opener = "["
-        for item in value:
-            yield opener + pad
-            yield from _json(item, depth + 1)
-            opener = ","
-        yield pad[:-2] + "]"
-    else:
-        yield json.dumps(value)
-
-
 def _report_pieces(
     report: BacktestReport, fmt: str, include_bids: bool
 ) -> Iterator[str]:
     """render_report's text in pieces of at most _BIDS_PER_PIECE bids.
 
+    json.dumps(indent=2) writes each top-level value and, with bids, each
+    strategy entry but its bids, which _bids_json writes.  Each of those
+    texts is indented to its depth by indenting its line ends: json.dumps
+    escapes a line end inside a string, so every one it writes is layout.
+    The text is that of json.dumps(report_to_obj(report, include_bids),
+    indent=2) + "\n".
+
     The backtest command writes the pieces one by one, so the whole report
     is never held as text: at 1M points with bids it is about 95 MB.
     """
     if fmt == "json":
-        obj = report_to_obj(report, False)
-        if include_bids:
-            for entry, result in zip(obj["strategies"], report.results):
-                entry["bids"] = _Bids(result.series.bids)
-        yield from _json(obj)
-        yield "\n"
+        sep = "{"
+        for key, value in report_to_obj(report, False).items():
+            yield f'{sep}\n  "{key}": '
+            sep = ","
+            if key != "strategies" or not (include_bids and value):
+                yield json.dumps(value, indent=2).replace("\n", "\n  ")
+                continue
+            opener = "["
+            for entry, result in zip(value, report.results):
+                # The entry without its closing "\n}", then its bids.
+                text = json.dumps(entry, indent=2)[:-2].replace("\n", "\n    ")
+                yield f'{opener}\n    {text},\n      "bids": '
+                yield from _bids_json(result.series.bids, 3)
+                yield "\n    }"
+                opener = ","
+            yield "\n  ]"
+        yield "\n}\n"
         return
     lines = ["name,success_rate,distance,relative_rationality"]
     for result in report.results:

@@ -195,9 +195,9 @@ def _decode(raw: bytes | str) -> str:
 
 def _parse_timestamp(text: str, where: str) -> datetime:
     raw = text.strip()
-    # fromisoformat reads "Z" but never "z".  The inline fast paths of
-    # parse_csv and parse_aws_json hand it the raw text and leave padded and
-    # "z" stamps to this rewrite.
+    # fromisoformat reads "Z" but never "z".  parse_csv's chunk pass and
+    # parse_aws_json's inline check hand it the raw text and leave padded
+    # and "z" stamps to this rewrite.
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
     try:
@@ -286,9 +286,10 @@ def parse_csv(raw: bytes | str) -> PriceTrace:
     not convert to UTC at whole seconds, a price that is not finite and
     non-negative, or more bytes than csv.field_size_limit().  A '"' in a
     chunk hands the rest of the input to the row loop, because a quoted
-    field may span lines.  The chunk pass accepts a row only where the row
-    loop's inline conversion would, with the same values, so the trace and
-    every error are the row loop's.
+    field may span lines.  The row loop converts every row with the helpers
+    _parse_timestamp and _parse_price, and the chunk pass accepts a row only
+    where they would, with the same values, so the trace and every error
+    are the row loop's.
     """
     if isinstance(raw, str):
         data = raw.encode("utf-8", "surrogatepass")
@@ -345,19 +346,9 @@ def _read_rows(lines, line_no: int, stamps: list[int], prices: list[float]) -> N
     """The row loop: append the rows of lines, the first of them at line
     line_no, to stamps and prices; line 1 is the header.
 
-    Each row is first converted inline, with the steps of _parse_timestamp
-    and _parse_price in the same order, which saves two calls and an
-    f-string per row: the stamp goes to fromisoformat as it is, an aware
-    stamp is converted to UTC (a "Z" or zero offset already parses as
-    timezone.utc), then must be at whole seconds, and the price must be
-    finite and non-negative (float() skips surrounding whitespace as strip
-    does).  A row that fails any step, a padded or "z" stamp among them,
-    goes through the two helpers instead.  They stay the only code that
-    words a parse error, so every message is theirs.
+    Every row is converted by _parse_timestamp and _parse_price, the only
+    code that words a parse error, so every message is theirs.
     """
-    append_stamp, append_price = stamps.append, prices.append
-    utc, epoch = timezone.utc, _EPOCH
-    fromisoformat, isfinite = datetime.fromisoformat, math.isfinite
     first = line_no
     rows = csv.reader(lines)
     # One try for the whole read: entering it costs nothing per row.
@@ -376,22 +367,10 @@ def _read_rows(lines, line_no: int, stamps: list[int], prices: list[float]) -> N
                 continue
             if len(row) != 2:
                 raise DataError(f"expected 2 columns at line {line_no}, got {len(row)}")
-            try:
-                ts = fromisoformat(row[0])
-                if ts.tzinfo is not utc and ts.tzinfo is not None:
-                    ts = ts.astimezone(utc)
-                price = float(row[1])
-                inline = (ts.tzinfo is utc and not ts.microsecond
-                          and isfinite(price) and price >= 0)
-            except (ValueError, OverflowError):
-                inline = False
-            if not inline:
-                where = f"line {line_no}"
-                ts = _parse_timestamp(row[0], where)
-                price = _parse_price(row[1], where)
-            delta = ts - epoch
-            append_stamp(delta.days * 86400 + delta.seconds)
-            append_price(price)
+            where = f"line {line_no}"
+            delta = _parse_timestamp(row[0], where) - _EPOCH
+            stamps.append(delta.days * 86400 + delta.seconds)
+            prices.append(_parse_price(row[1], where))
     except csv.Error as exc:  # a field over the csv module's size limit, say
         line = first - 1 + rows.line_num
         raise DataError(f"malformed CSV at line {line}: {exc}") from None
@@ -400,16 +379,16 @@ def _read_rows(lines, line_no: int, stamps: list[int], prices: list[float]) -> N
 def _convert_chunk(chunk: bytes, stamps: list[int], prices: list[float]) -> bool:
     """The chunk pass: append the rows of chunk to stamps and prices and
     return True, or return False, with neither list changed, unless every
-    row is one the row loop converts inline.
+    row is one the helpers convert without their strip and "z" rewrite.
 
     The caller passes a chunk with no '"' and no more bytes than csv's
     field size limit.  With "\r\n" folded to "\n", each line must be a
     cell, ",", a cell, so the cells alternate stamp and price, and each
-    must pass the inline steps: fromisoformat, an aware stamp, astimezone
-    for one not in timezone.utc, whole seconds, then float() and a finite
-    non-negative price.  Every step but two runs over the whole chunk in C;
-    the conversion of non-UTC stamps and that to epoch seconds are
-    comprehensions.
+    must pass the helpers' steps on its raw text: fromisoformat, an aware
+    stamp, astimezone for one not in timezone.utc, whole seconds, then
+    float() and a finite non-negative price.  Every step but two runs over
+    the whole chunk in C; the conversion of non-UTC stamps and that to
+    epoch seconds are comprehensions.
     """
     if b"\r" in chunk:
         chunk = chunk.replace(b"\r\n", b"\n")
@@ -489,13 +468,14 @@ def _record_check(trace_filter: TraceFilter):
     _SKIPPED if it drops it.
 
     Without idx, as the hooked decode calls it, the record is checked inline,
-    as parse_csv checks a row: five str fields, the stamp straight to
-    fromisoformat, an aware stamp converted to UTC, then whole seconds and a
-    finite non-negative price; a record that fails any step is returned as
-    it is, so the decode leaves it in place.  With idx, _aws_record checks it
-    with the helpers, in the original order: they give the inline tuple for
-    every record the inline check accepts, also accept a padded or "z" stamp
-    and a scalar label, and word any error as record idx.
+    as parse_csv's chunk pass checks a row: five str fields, the stamp
+    straight to fromisoformat, an aware stamp converted to UTC, then whole
+    seconds and a finite non-negative price; a record that fails any step
+    is returned as it is, so the decode leaves it in place.  With idx,
+    _aws_record checks it with the helpers, in the original order: they
+    give the inline tuple for every record the inline check accepts, also
+    accept a padded or "z" stamp and a scalar label, and word any error as
+    record idx.
     """
     want_type, want_product, want_zone = trace_filter
     utc, epoch = timezone.utc, _EPOCH
@@ -563,7 +543,8 @@ def parse_aws_json(
     hooked decode that ran out of depth or yielded a tuple (the top-level
     object passed as a record) is followed by a plain decode, without the
     hook; invalid JSON fails the hooked decode where it would fail the plain
-    one, with the same message.
+    one, with the same message.  An integer of more digits than int()
+    converts is invalid JSON too: json.loads raises a plain ValueError.
 
     Bytes of FORK_MIN_BYTES or more that open as an array or as
     {"SpotPriceHistory": [ are decoded in shares, one per usable CPU, where
@@ -584,14 +565,14 @@ def parse_aws_json(
         del raw
         try:
             doc = json.loads(text, object_hook=check)
-        except json.JSONDecodeError as exc:  # the hook never raises it
+        except ValueError as exc:  # JSONDecodeError, or an int over 4300 digits
             raise DataError(f"invalid JSON: {exc}") from None
         except RecursionError:
             doc = _SKIPPED  # a tuple: the plain decode, which nests less deep, runs
         if type(doc) is tuple:
             try:
                 doc = json.loads(text)
-            except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+            except (ValueError, RecursionError) as exc:  # too deeply nested
                 raise DataError(f"invalid JSON: {exc}") from None
         del text
         records = doc.get("SpotPriceHistory") if type(doc) is dict else doc

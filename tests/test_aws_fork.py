@@ -23,7 +23,9 @@ from hypothesis import strategies as st
 
 import spotbid as sb
 from conftest import cli_env, limit_address_space
-from test_trace import AWS_FILTERS, AWS_ODD_RECORD, AWS_RECORD, _aws_outcome, _record
+from test_trace import (
+    AWS_FILTERS, AWS_ODD_RECORD, AWS_RECORD, LONG_INT, _aws_outcome, _record,
+)
 
 ALL = sb.TraceFilter()
 MARKETS = [("c4.xlarge", "us-east-1a"), ("c4.xlarge", "us-east-1b"),
@@ -236,6 +238,24 @@ def test_invalid_json_after_a_bad_record_in_the_first_share():
     assert (share_of(raw, b"yesterday", 2), share_of(raw, b"nope", 2)) == (0, 1)
     result, decoded = _split_result(raw)
     assert result.startswith("DataError: invalid JSON: Expecting value") and decoded
+
+
+def test_an_integer_over_the_digit_limit_in_a_later_share_at_the_real_threshold():
+    # json.loads raises a plain ValueError in the child's share; the split
+    # falls back to the serial decode, which words it as invalid JSON.
+    records = [_record(sb.format_timestamp(1577836800 - 60 * i), price=f"{0.3 + i % 97 / 50:.6f}")
+               for i in range(8_000)]
+    records[-1]["SpotPrice"] = "PRICE"
+    raw = document(records).replace(b'"PRICE"', LONG_INT.encode())
+    assert len(raw) >= sb.trace.FORK_MIN_BYTES
+    assert share_of(raw, LONG_INT.encode(), 2) == 1
+    decodes, decode = [], sb.trace._decode
+    with usable_cpus(2, sb.trace.FORK_MIN_BYTES) as forks, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sb.trace, "_decode", lambda raw: decodes.append(1) or decode(raw))
+        result = _aws_outcome(sb.parse_aws_json, raw, ALL)
+    assert_no_child_left()
+    assert (len(forks), len(decodes)) == (1, 1)
+    assert result.startswith("DataError: invalid JSON: Exceeds the limit (4300 digits)")
 
 
 @pytest.mark.parametrize("share", [0, 1, 2])

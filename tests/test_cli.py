@@ -17,7 +17,6 @@ import spotbid as sb
 from spotbid.cli import (
     _bids_json,
     _fixed,
-    _json,
     build_parser,
     main,
     render_report,
@@ -855,8 +854,11 @@ def test_no_argv_reaches_an_internal_error(fuzz_flags, data):
 
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, 5e-324, 1e16, 0.1]
 JSON_FLOATS = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+# Besides any text: the report's own keys and text that looks like its
+# layout, which a writer that searched its output would misread.
 JSON_TEXT = st.text() | st.sampled_from(
-    ["", "é", "日本", "\u2028", 'a "quoted" \\ \n\t\x00', "1.0, 2.0"]
+    ["", "é", "日本", "\u2028", 'a "quoted" \\ \n\t\x00', "1.0, 2.0",
+     "bids", "strategies", '"bids": []', ',\n      "bids": [\n    }']
 )
 JSON_SCALARS = (
     st.none()
@@ -875,13 +877,6 @@ JSON_VALUES = st.recursive(
     lambda children: st.lists(children) | st.dictionaries(JSON_TEXT, children),
     max_leaves=20,
 )
-
-
-@given(JSON_VALUES)
-@example([0.5, "1.0, 2.0"])
-@example({"bids": [math.nan, -0.0, [1.5]], "n": [1.5, 2, True]})
-def test_json_writer_matches_json_dumps_indent(value):
-    assert "".join(_json(value)) == json.dumps(value, indent=2)
 
 
 # Bids for the report writer's fast path (finite, 1e-4 <= bid < 1e9) and
@@ -994,6 +989,37 @@ def test_render_report_bids_match_json_dumps_indent(bids):
     for line, expected_line in zip(got.splitlines(True), expected.splitlines(True)):
         assert line == expected_line
     assert len(got) == len(expected)
+
+
+@settings(deadline=None)
+@given(
+    config_echo=JSON_VALUES,
+    labels=st.tuples(JSON_TEXT, JSON_TEXT, JSON_TEXT),
+    warnings=st.lists(JSON_TEXT, max_size=3),
+    include_bids=st.booleans(),
+)
+@example(  # dicts at depths 2 and 3 under the report's own key names
+    config_echo={"bids": {"strategies": {"bids": []}}, "strategies": [{"bids": {}}]},
+    labels=('"bids": []', "a\nb", 'say "hi"'),
+    warnings=['"bids": [],\n'],
+    include_bids=True,
+)
+@example(config_echo='"bids": []', labels=("", "", ""), warnings=[], include_bids=False)
+def test_render_report_matches_json_dumps_of_report_to_obj(
+    config_echo, labels, warnings, include_bids
+):
+    # config_echo holds user strings, and through the Python API any JSON
+    # value; none of it may change the layout around the bids.
+    instance_type, product, zone = labels
+    report = REPORT_BASE._replace(
+        trace_meta=REPORT_BASE.trace_meta._replace(
+            instance_type=instance_type, product=product, zone=zone
+        ),
+        config_echo=config_echo,
+        warnings=tuple(warnings),
+    )
+    expected = json.dumps(report_to_obj(report, include_bids), indent=2) + "\n"
+    assert render_report(report, "json", include_bids) == expected
 
 
 def _spy_on_fixed(monkeypatch):

@@ -209,6 +209,24 @@ def test_parse_csv_matches_reference_loop_at_every_chunk_size(rows, odd, line_en
         assert _parse_outcome(sb.parse_csv, raw) == _parse_outcome(reference_parse_csv, raw)
 
 
+@settings(max_examples=400)
+@given(
+    rows=st.lists(CSV_ROW, max_size=12),
+    odd=st.lists(st.tuples(st.integers(0, 12), CSV_EDGE_ROW), max_size=3),
+    line_end=st.sampled_from(["\n", "\r\n"]),
+)
+def test_row_loop_alone_matches_reference_loop(rows, odd, line_end):
+    # With the chunk pass declining every chunk, each row, quoted or not,
+    # goes through the row loop: its values, messages and line numbers.
+    for at, row in odd:
+        rows.insert(at, row)
+    raw = ("timestamp,price" + line_end + line_end.join(rows)).encode()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sb.trace, "_convert_chunk", lambda chunk, stamps, prices: False)
+        mp.setattr(sb.trace, "CSV_CHUNK_BYTES", 40)
+        assert _parse_outcome(sb.parse_csv, raw) == _parse_outcome(reference_parse_csv, raw)
+
+
 @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["before", "at", "after"])
 @pytest.mark.parametrize(
     "bad, message",
@@ -511,6 +529,28 @@ def test_parse_aws_json_errors():
     unparseable = dict(_record("2015-05-03T00:00:00Z"), SpotPrice="one")
     with pytest.raises(sb.DataError, match="unparseable price"):
         sb.parse_aws_json(json.dumps([unparseable]))
+
+
+# A JSON integer longer than int() converts by default (4300 digits):
+# json.loads raises a plain ValueError for it, not a JSONDecodeError.
+LONG_INT = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("field", ["SpotPrice", "InstanceType"])
+def test_parse_aws_json_an_integer_over_the_digit_limit_is_invalid_json(field):
+    raw = json.dumps([_record("2015-05-03T00:00:00Z")]).encode()
+    raw = raw.replace(json.dumps(_record("")[field]).encode(), LONG_INT.encode(), 1)
+    with pytest.raises(sb.DataError, match=r"^invalid JSON: Exceeds the limit \(4300 digits\)"):
+        sb.parse_aws_json(raw)
+
+
+def test_cli_an_integer_over_the_digit_limit_exits_2(tmp_path, capsys):
+    doc = tmp_path / "history.json"
+    doc.write_text(json.dumps([_record("2015-05-03T00:00:00Z", price="PRICE")])
+                   .replace('"PRICE"', LONG_INT))
+    assert main(["ingest", "--aws-json", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON: Exceeds the limit (4300 digits)")
 
 
 def reference_parse_aws_json(
