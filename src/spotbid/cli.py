@@ -4,6 +4,11 @@ Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 internal
 error.  The SPOTBID_LOG environment variable (error, warn, info, debug)
 controls diagnostic verbosity on standard error.
 
+main(argv) runs one command and returns its exit code; a library caller
+gets it back.  run(), the process entry, then runs the atexit callbacks,
+flushes standard output and standard error, and ends the process without
+tearing the interpreter down (see run).
+
 Gains are accepted as positive magnitudes: `--kp 10` applies kp = -10,
 because only negative gains steer bids toward the price.  The
 --allow-positive-gains flag flips the applied sign to +magnitude for
@@ -12,6 +17,7 @@ exploring what non-corrective control does; such reports carry a warning.
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import math
 import os
@@ -503,13 +509,25 @@ def _read_bytes(path_text: str) -> bytes:
         raise DataError(f"cannot read {path_text}: {exc}") from None
 
 
-def _stdout_to_devnull() -> None:
-    """Point standard output's descriptor at os.devnull.  Whatever its
-    buffer still holds is then flushed there at exit, where a write that
-    failed once would fail again."""
+def _to_devnull(fd: int) -> None:
+    """Point a standard stream's descriptor fd at os.devnull.  Whatever the
+    stream's buffer still holds is then flushed there at exit, where a
+    write that failed once would fail again."""
     devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
+    os.dup2(devnull, fd)
     os.close(devnull)
+
+
+def _to_stderr(text: str) -> None:
+    """Write text to standard error and flush it.  If that fails (a reader
+    that went away, say), standard error goes to os.devnull, so an error
+    line that cannot be written changes neither the exit code nor the
+    flush at exit."""
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError:
+        _to_devnull(sys.stderr.fileno())
 
 
 def _write_output(path: str | None, pieces: Iterable[str]) -> None:
@@ -521,7 +539,7 @@ def _write_output(path: str | None, pieces: Iterable[str]) -> None:
         except BrokenPipeError:
             raise  # the reader went away; main exits 0
         except OSError as exc:  # a full disk, say
-            _stdout_to_devnull()
+            _to_devnull(sys.stdout.fileno())
             raise DataError(f"cannot write standard output: {exc}") from None
         return
     try:
@@ -675,6 +693,7 @@ def _configure_logging() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command argv (default: sys.argv[1:]) and return its exit code."""
     if argv is None:
         argv = sys.argv[1:]
     command = argv[0] if argv and argv[0] in _COMMANDS else None
@@ -687,23 +706,52 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _to_stderr(f"error: {exc}\n")
         return 1
     except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _to_stderr(f"error: {exc}\n")
         return 2
     except BrokenPipeError:
         # The reader of standard output went away, as `| head` does.
-        _stdout_to_devnull()
+        _to_devnull(sys.stdout.fileno())
         return 0
     except MemoryError:
-        print(f"error: out of memory while running {args.command}", file=sys.stderr)
+        _to_stderr(f"error: out of memory while running {args.command}\n")
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         _log(_LOG_LEVELS["debug"], "internal error", exc_info=True)
-        print(f"internal error: {exc}", file=sys.stderr)
+        _to_stderr(f"internal error: {exc}\n")
         return 3
 
 
+def run() -> None:
+    """The process entry point: exit with main()'s code, without tearing
+    the interpreter down.  It does not return.
+
+    Teardown frees every module and object one by one, a few ms that no
+    one can see.  What it does that can be seen is done here first: every
+    atexit callback runs (logging's shutdown, say, or a hook a site file
+    registered), and both standard streams are flushed, standard error
+    through _to_stderr, so that a usage or log line it could not write
+    does not change the exit code.  Nothing else is left open when main
+    returns: each output file is closed by its with block, and every
+    forked child is reaped.  When a second thread runs, or any of those
+    steps raises, the process exits through sys.exit, with the
+    interpreter's own teardown.
+    """
+    code = main()
+    threading = sys.modules.get("threading")  # a process without it has one thread
+    if threading is None or threading.active_count() == 1:
+        try:
+            atexit._run_exitfuncs()
+            sys.stdout.flush()
+            _to_stderr("")  # also what argparse or logging could not write
+        except Exception:
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

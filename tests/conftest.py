@@ -30,10 +30,12 @@ def make_trace(prices, start=EPOCH, spacing_minutes=1, **meta) -> sb.PriceTrace:
 
 def cli_env(**overrides):
     """The environment with src first on PYTHONPATH, SPOTBID_LOG unset,
-    then the overrides."""
+    PYTHONUNBUFFERED unset (so that standard output is buffered, as in a
+    user's run), then the overrides."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env.pop("SPOTBID_LOG", None)
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     env.update(overrides)
     return env

@@ -667,6 +667,122 @@ def test_full_stdout_is_a_data_error(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, code, log",
+    [
+        (["ingest", "--bogus"], 1, "warn"),
+        (["ingest", "--trace", "/nonexistent.csv"], 2, "warn"),
+        (["ingest", "--trace", TRACE], 0, "warn"),
+        (["ingest", "--trace", TRACE], 0, "info"),
+    ],
+    ids=["usage-error", "data-error", "success", "success-with-log-lines"],
+)
+def test_closed_stderr_keeps_the_exit_code(argv, code, log):
+    # An error or log line that cannot be written (the reader of standard
+    # error went away) sends standard error to os.devnull, so the run still
+    # exits 1, 2 or 0, and nothing fails at exit.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "spotbid.cli", *argv],
+            stdout=subprocess.PIPE, stderr=write_end, env=cli_env(SPOTBID_LOG=log), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    assert proc.stdout == (b"" if code else (FIXTURES / "stephold_1001.csv").read_bytes())
+
+
+GRID_8 = "0.5,1,2,5,10,20,50,100"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["backtest", "--trace", TRACE, *BAND_ARGS, "--mode", "fulltrace", "--include-bids"],
+        ["sweep", "--trace", TRACE, *BAND_ARGS, "--kp", GRID_8, "--ki", GRID_8, "--format", "csv"],
+    ],
+    ids=["backtest-bids", "sweep-csv"],
+)
+def test_piped_stdout_equals_the_out_file(tmp_path, argv):
+    # The process ends without interpreter teardown; standard output must
+    # still carry every byte the --out file gets.
+    out = tmp_path / "out"
+    piped, to_file = (
+        subprocess.run(
+            [sys.executable, "-m", "spotbid.cli", *argv, *extra],
+            capture_output=True, env=cli_env(), timeout=60,
+        )
+        for extra in ([], ["--out", str(out)])
+    )
+    assert (piped.returncode, piped.stderr, to_file.returncode) == (0, b"", 0)
+    assert piped.stdout == out.read_bytes()
+
+
+# A script that leaves "x" unflushed in standard output and registers an exit
+# callback that writes to standard error without a line end, then calls run().
+# A thread started with "thread" writes "late" once the interpreter has begun
+# to shut down, which waits for it; os._exit would cut it off.
+RUN_SCRIPT = """
+import atexit, sys, threading
+import spotbid.cli
+sys.stdout.write("x")
+atexit.register(sys.stderr.write, "atexit")
+if sys.argv[1] == "thread":
+    del sys.argv[1]
+    late = lambda: (threading.main_thread().join(), sys.stdout.write("late"))
+    threading.Thread(target=late).start()
+spotbid.cli.run()
+"""
+
+
+@pytest.mark.parametrize("thread", [False, True], ids=["one-thread", "two-threads"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["ingest", "--trace", TRACE], 0),
+        (["ingest", "--bogus"], 1),
+        (["ingest", "--trace", "/nonexistent.csv"], 2),
+    ],
+    ids=["success", "usage-error", "data-error"],
+)
+def test_run_flushes_and_runs_exit_callbacks(capsys, argv, code, thread):
+    # run() exits with main's code; what main writes, and what an exit
+    # callback and a late thread write, all arrive.
+    assert main(argv) == code
+    expected = capsys.readouterr()
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", RUN_SCRIPT, *(["thread"] if thread else []), *argv],
+        capture_output=True, text=True, env=cli_env(), timeout=60,
+    )
+    assert proc.returncode == code
+    assert proc.stdout == "x" + expected.out + ("late" if thread else "")
+    assert proc.stderr == expected.err + "atexit"
+    if code == 2:
+        assert expected.err == (
+            "error: cannot read /nonexistent.csv: [Errno 2] No such file or "
+            "directory: '/nonexistent.csv'\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 0),
+        (["ingest", "--trace", TRACE], 0),
+        ([], 1),
+        (["ingest", "--bogus"], 1),
+        (["ingest", "--trace", "/nonexistent.csv"], 2),
+    ],
+)
+def test_main_returns_its_code_in_process(monkeypatch, capsys, argv, code):
+    # main() is the library entry: it returns, and only run() exits.
+    monkeypatch.setattr(sys, "argv", ["spotbid", *argv])
+    assert main() == code
+    assert type(main(argv)) is int
+
+
 GRID_1500 = ",".join(str(k) for k in range(1, 1501))
 
 

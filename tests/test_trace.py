@@ -189,21 +189,51 @@ CSV_EDGE_ROW = st.one_of(
 )
 
 
+# Header lines with a '"': some csv reads as one record of their line, in
+# some a quoted field runs past the line end ('a"b,"c' holds a literal '"'
+# first), and most are malformed headers.
+CSV_HEADER = st.sampled_from(
+    [
+        '"timestamp","price"',
+        '"timestamp",price',
+        ' timestamp , "price"',
+        '"time""stamp","price"',
+        '"timestamp","price',
+        'a"b,"c',
+        '"timestamp\n","price"',
+        '"timestamp"x,price',
+        ' "timestamp",price',
+    ]
+) | st.just("timestamp,price")
+
+
 @settings(max_examples=400)
 @given(
     rows=st.lists(CSV_ROW, max_size=12),
     odd=st.lists(st.tuples(st.integers(0, 12), CSV_EDGE_ROW), max_size=3),
     line_end=st.sampled_from(["\n", "\r\n"]),
     chunk=st.sampled_from([1, 7, 40, 64]),
+    header=CSV_HEADER,
 )
-@example(rows=["2020-01-01T05:00:00+05:00,1.5"] * 3, odd=[], line_end="\r\n", chunk=40)
-@example(rows=[], odd=[(0, "0001-01-01T00:00:00+05:00,1.5")], line_end="\n", chunk=64)
-def test_parse_csv_matches_reference_loop_at_every_chunk_size(rows, odd, line_end, chunk):
+@example(
+    rows=["2020-01-01T05:00:00+05:00,1.5"] * 3, odd=[], line_end="\r\n", chunk=40,
+    header="timestamp,price",
+)
+@example(
+    rows=[], odd=[(0, "0001-01-01T00:00:00+05:00,1.5")], line_end="\n", chunk=64,
+    header="timestamp,price",
+)
+@example(
+    rows=["2020-01-01T00:00:00Z,1.5", '",price', "2020-01-01T00:01:00Z,2"], odd=[],
+    line_end="\n", chunk=7, header='"timestamp","price',
+)
+@example(rows=['",1.5', "2020-01-01T00:01:00Z,2"], odd=[], line_end="\n", chunk=7, header='a"b,"c')
+def test_parse_csv_matches_reference_loop_at_every_chunk_size(rows, odd, line_end, chunk, header):
     # Chunks of a few bytes cut the rows at every place a chunk may end, so
     # each row meets the chunk pass, the row loop after it and the hand-off.
     for at, row in odd:
         rows.insert(at, row)
-    raw = ("timestamp,price" + line_end + line_end.join(rows)).encode()
+    raw = (header + line_end + line_end.join(rows)).encode()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sb.trace, "CSV_CHUNK_BYTES", chunk)
         assert _parse_outcome(sb.parse_csv, raw) == _parse_outcome(reference_parse_csv, raw)
@@ -274,6 +304,39 @@ def test_a_quote_hands_the_rest_to_the_row_loop_with_its_line_numbers():
         "DataError: malformed CSV at line 2003: new-line character"
     )
     assert _parse_outcome(sb.parse_csv, raw) == _parse_outcome(reference_parse_csv, raw)
+
+
+@pytest.mark.parametrize(
+    "header, lines_read",
+    [
+        ("timestamp,price", 1),
+        ('"timestamp","price"', 1),
+        ('"timestamp","price', 3001),  # the field runs on: csv reads the rest
+        ('a"b,"c', 3001),
+    ],
+)
+def test_a_quoted_header_alone_goes_to_the_row_loop(header, lines_read):
+    # A header that csv reads as one record of its line is the row loop's
+    # only call, and the rows after it take the chunk pass, as after a plain
+    # header; any other header takes the rest of the input with it.
+    rows = [f"{sb.format_timestamp(1577836800 + 60 * i)},{1.5 + i % 7:.17f}" for i in range(3000)]
+    raw = (header + "\n" + "".join(row + "\n" for row in rows)).encode()
+    assert len(raw) > 3 * sb.trace.CSV_CHUNK_BYTES
+    calls = []
+    read_rows = sb.trace._read_rows
+
+    def counted(lines, line_no, stamps, prices):
+        lines = list(lines)
+        calls.append((line_no, len(lines)))
+        return read_rows(iter(lines), line_no, stamps, prices)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sb.trace, "_read_rows", counted)
+        outcome = _parse_outcome(sb.parse_csv, raw)
+    assert calls == [(1, lines_read)]
+    assert outcome == _parse_outcome(reference_parse_csv, raw)
+    if lines_read == 1:
+        assert outcome == _parse_outcome(sb.parse_csv, raw.replace(header.encode(), b"timestamp,price", 1))
 
 
 CSV_ROWS = "timestamp,price\n2020-01-01T00:00:00Z,1.5\n2020-01-01T00:01:00Z,2.25\n"
