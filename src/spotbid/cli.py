@@ -522,7 +522,10 @@ def _to_stderr(text: str) -> None:
     """Write text to standard error and flush it.  If that fails (a reader
     that went away, say), standard error goes to os.devnull, so an error
     line that cannot be written changes neither the exit code nor the
-    flush at exit."""
+    flush at exit.  A process started with descriptor 2 closed has no
+    sys.stderr, and the text is dropped."""
+    if sys.stderr is None:
+        return
     try:
         sys.stderr.write(text)
         sys.stderr.flush()
@@ -724,6 +727,20 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def _watched() -> bool:
+    """Whether a tracer, a profiler or a sys.monitoring tool is set, as
+    under `python -m cProfile`, `python -m trace` or `coverage run`.  Such
+    a tool writes its profile, report or data after the module it ran
+    returns, which an os._exit here would cut off."""
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12 and later
+    return (
+        sys.gettrace() is not None
+        or sys.getprofile() is not None
+        or (monitoring is not None
+            and any(monitoring.get_tool(tool) is not None for tool in range(6)))  # ids 0-5
+    )
+
+
 def run() -> None:
     """The process entry point: exit with main()'s code, without tearing
     the interpreter down.  It does not return.
@@ -735,13 +752,14 @@ def run() -> None:
     through _to_stderr, so that a usage or log line it could not write
     does not change the exit code.  Nothing else is left open when main
     returns: each output file is closed by its with block, and every
-    forked child is reaped.  When a second thread runs, or any of those
-    steps raises, the process exits through sys.exit, with the
-    interpreter's own teardown.
+    forked child is reaped.  When a second thread runs, when a tool that
+    runs this module and has code of its own to run after it watches the
+    process (see _watched), or when any of those steps raises, the process
+    exits through sys.exit, with the interpreter's own teardown.
     """
     code = main()
     threading = sys.modules.get("threading")  # a process without it has one thread
-    if threading is None or threading.active_count() == 1:
+    if (threading is None or threading.active_count() == 1) and not _watched():
         try:
             atexit._run_exitfuncs()
             sys.stdout.flush()

@@ -286,10 +286,7 @@ def parse_csv(raw: bytes | str) -> PriceTrace:
     not convert to UTC at whole seconds, a price that is not finite and
     non-negative, or more bytes than csv.field_size_limit().  A '"' in a
     chunk hands the rest of the input to the row loop, because a quoted
-    field may span lines.  A header line with a '"' is the exception when
-    csv reads it alone, strictly, as one record (_one_record): that record
-    ends at the line's "\n", so only the header goes to the row loop, as a
-    plain one does.  The row loop converts every row with the helpers
+    field may span lines.  The row loop converts every row with the helpers
     _parse_timestamp and _parse_price, and the chunk pass accepts a row only
     where they would, with the same values, so the trace and every error
     are the row loop's.
@@ -309,9 +306,7 @@ def parse_csv(raw: bytes | str) -> PriceTrace:
     end = data.find(b"\n", pos) + 1 or len(data)  # the header line
     header = True
     while True:
-        quoted = data.find(b'"', pos, end) >= 0 and not (
-            header and _one_record(data[pos:end])
-        )
+        quoted = data.find(b'"', pos, end) >= 0
         if (header or quoted or end - pos > limit
                 or not _convert_chunk(data[pos:end], stamps, prices)):
             line_no += data.count(b"\n", counted, pos)
@@ -330,20 +325,6 @@ def parse_csv(raw: bytes | str) -> PriceTrace:
     if not stamps:
         raise DataError("empty body: no data rows after the header")
     return PriceTrace(tuple(stamps), tuple(prices))
-
-
-def _one_record(line: bytes) -> bool:
-    """Whether csv reads line, one line with its line end, as one whole
-    record.  A strict read raises where a quoted field runs on past the
-    line end, as in '"timestamp","price' or 'a"b,"c' (whose first '"' is
-    text inside an unquoted field), so counting quotes cannot tell.  Strict
-    only adds errors: the row loop's reader reads every line a strict one
-    accepts into the same record."""
-    try:
-        list(csv.reader([line.decode("utf-8", "surrogatepass")], strict=True))
-    except csv.Error:
-        return False
-    return True
 
 
 def _text_lines(data: bytes, pos: int) -> io.TextIOWrapper:

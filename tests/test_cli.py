@@ -677,21 +677,52 @@ def test_full_stdout_is_a_data_error(argv):
     ],
     ids=["usage-error", "data-error", "success", "success-with-log-lines"],
 )
-def test_closed_stderr_keeps_the_exit_code(argv, code, log):
+@pytest.mark.parametrize("closed", ["pipe", "descriptor"])
+def test_closed_stderr_keeps_the_exit_code(argv, code, log, closed):
     # An error or log line that cannot be written (the reader of standard
     # error went away) sends standard error to os.devnull, so the run still
-    # exits 1, 2 or 0, and nothing fails at exit.
+    # exits 1, 2 or 0, and nothing fails at exit.  A process started with
+    # descriptor 2 closed has no sys.stderr at all and drops the line.
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-X", "dev", "-m", "spotbid.cli", *argv],
-            stdout=subprocess.PIPE, stderr=write_end, env=cli_env(SPOTBID_LOG=log), timeout=60,
+            stdout=subprocess.PIPE, env=cli_env(SPOTBID_LOG=log), timeout=60,
+            **(
+                {"stderr": write_end} if closed == "pipe"
+                else {"stderr": subprocess.DEVNULL, "preexec_fn": lambda: os.close(2)}
+            ),
         )
     finally:
         os.close(write_end)
     assert proc.returncode == code
-    assert proc.stdout == (b"" if code else (FIXTURES / "stephold_1001.csv").read_bytes())
+    if code == 1 and closed == "descriptor":
+        # With no sys.stderr, argparse prints its usage text to standard output.
+        assert proc.stdout.startswith(b"usage: spotbid ingest") and b"error" not in proc.stdout
+    else:
+        assert proc.stdout == (b"" if code else (FIXTURES / "stephold_1001.csv").read_bytes())
+
+
+@pytest.mark.parametrize("tool", ["cProfile", "trace"])
+def test_a_profiler_or_tracer_still_reports(tmp_path, tool):
+    # Such a tool runs spotbid.cli as __main__ and writes its report after it
+    # returns; run() must not end the process under it.
+    profile = tmp_path / "profile.out"
+    prefix = {
+        "cProfile": ["-m", "cProfile", "-o", str(profile), "-m", "spotbid.cli"],
+        "trace": ["-m", "trace", "--listfuncs", "--module", "spotbid.cli"],
+    }[tool]
+    proc = subprocess.run(
+        [sys.executable, *prefix, "ingest", "--trace", TRACE],
+        capture_output=True, env=cli_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    csv_bytes = (FIXTURES / "stephold_1001.csv").read_bytes()
+    if tool == "cProfile":
+        assert proc.stdout == csv_bytes and profile.stat().st_size > 0
+    else:
+        assert proc.stdout.startswith(csv_bytes) and b"functions called:" in proc.stdout
 
 
 GRID_8 = "0.5,1,2,5,10,20,50,100"

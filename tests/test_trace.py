@@ -306,39 +306,6 @@ def test_a_quote_hands_the_rest_to_the_row_loop_with_its_line_numbers():
     assert _parse_outcome(sb.parse_csv, raw) == _parse_outcome(reference_parse_csv, raw)
 
 
-@pytest.mark.parametrize(
-    "header, lines_read",
-    [
-        ("timestamp,price", 1),
-        ('"timestamp","price"', 1),
-        ('"timestamp","price', 3001),  # the field runs on: csv reads the rest
-        ('a"b,"c', 3001),
-    ],
-)
-def test_a_quoted_header_alone_goes_to_the_row_loop(header, lines_read):
-    # A header that csv reads as one record of its line is the row loop's
-    # only call, and the rows after it take the chunk pass, as after a plain
-    # header; any other header takes the rest of the input with it.
-    rows = [f"{sb.format_timestamp(1577836800 + 60 * i)},{1.5 + i % 7:.17f}" for i in range(3000)]
-    raw = (header + "\n" + "".join(row + "\n" for row in rows)).encode()
-    assert len(raw) > 3 * sb.trace.CSV_CHUNK_BYTES
-    calls = []
-    read_rows = sb.trace._read_rows
-
-    def counted(lines, line_no, stamps, prices):
-        lines = list(lines)
-        calls.append((line_no, len(lines)))
-        return read_rows(iter(lines), line_no, stamps, prices)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sb.trace, "_read_rows", counted)
-        outcome = _parse_outcome(sb.parse_csv, raw)
-    assert calls == [(1, lines_read)]
-    assert outcome == _parse_outcome(reference_parse_csv, raw)
-    if lines_read == 1:
-        assert outcome == _parse_outcome(sb.parse_csv, raw.replace(header.encode(), b"timestamp,price", 1))
-
-
 CSV_ROWS = "timestamp,price\n2020-01-01T00:00:00Z,1.5\n2020-01-01T00:01:00Z,2.25\n"
 
 
