@@ -32,6 +32,7 @@ from .engine import (
     SweepConfig,
     SweepPoint,
     backtest,
+    backtest_text,
     sweep,
 )
 from .errors import DataError, UsageError
@@ -91,6 +92,17 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 # ---------------------------------------------------------------- parsing
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error in a process started with
+    descriptor 2 closed writes nothing: there print_usage(sys.stderr)
+    would fall back to standard output, the command's data stream."""
+
+    def error(self, message: str) -> None:
+        if sys.stderr is None:
+            self.exit(2)
+        super().error(message)
 
 
 def _add_input_flags(parser: argparse.ArgumentParser) -> None:
@@ -259,7 +271,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     usage and errors above the subcommand read the same either way; with a
     command, only that subcommand gets its arguments, which saves building
     the other three (a few ms per run)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spotbid",
         description="Deterministic backtesting of spot-price bidding strategies.",
     )
@@ -385,34 +397,35 @@ def _bids_json(bids: tuple[float, ...], depth: int) -> Iterator[str]:
 
 
 def _report_pieces(
-    report: BacktestReport, fmt: str, include_bids: bool
+    report: BacktestReport, fmt: str, texts: Iterable[Iterable[str]] | None
 ) -> Iterator[str]:
-    """render_report's text in pieces of at most _BIDS_PER_PIECE bids.
+    """render_report's text in pieces, where texts holds each result's bids
+    array as its text's pieces, or is None for a report without bids.
 
     json.dumps(indent=2) writes each top-level value and, with bids, each
-    strategy entry but its bids, which _bids_json writes.  Each of those
+    strategy entry but its bids, which come from texts.  Each of those
     texts is indented to its depth by indenting its line ends: json.dumps
     escapes a line end inside a string, so every one it writes is layout.
-    The text is that of json.dumps(report_to_obj(report, include_bids),
-    indent=2) + "\n".
+    With texts from _bids_json(bids, 3), the text is that of
+    json.dumps(report_to_obj(report, True), indent=2) + "\n".
 
     The backtest command writes the pieces one by one, so the whole report
-    is never held as text: at 1M points with bids it is about 95 MB.
+    is never held as one text: at 1M points with bids it is about 95 MB.
     """
     if fmt == "json":
         sep = "{"
         for key, value in report_to_obj(report, False).items():
             yield f'{sep}\n  "{key}": '
             sep = ","
-            if key != "strategies" or not (include_bids and value):
+            if key != "strategies" or texts is None or not value:
                 yield json.dumps(value, indent=2).replace("\n", "\n  ")
                 continue
             opener = "["
-            for entry, result in zip(value, report.results):
+            for entry, text in zip(value, texts):
                 # The entry without its closing "\n}", then its bids.
-                text = json.dumps(entry, indent=2)[:-2].replace("\n", "\n    ")
-                yield f'{opener}\n    {text},\n      "bids": '
-                yield from _bids_json(result.series.bids, 3)
+                head = json.dumps(entry, indent=2)[:-2].replace("\n", "\n    ")
+                yield f'{opener}\n    {head},\n      "bids": '
+                yield from text
                 yield "\n    }"
                 opener = ","
             yield "\n  ]"
@@ -429,7 +442,10 @@ def _report_pieces(
 
 
 def render_report(report: BacktestReport, fmt: str, include_bids: bool) -> str:
-    return "".join(_report_pieces(report, fmt, include_bids))
+    texts = None
+    if include_bids:
+        texts = [_bids_json(result.series.bids, 3) for result in report.results]
+    return "".join(_report_pieces(report, fmt, texts))
 
 
 def render_sweep(
@@ -625,17 +641,25 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
     # Resolved in place, so config_echo records the value the run used.
     if args.include_bids is None:
         args.include_bids = len(trace) < 100_000
-    report = backtest(
-        trace,
-        specs,
-        band,
-        allow_positive_gains=args.allow_positive_gains,
-        config_echo=_config_echo(args),
-    )
-    # Plot data first: a run whose plot data fails leaves no report behind.
+    options = {
+        "allow_positive_gains": args.allow_positive_gains,
+        "config_echo": _config_echo(args),
+    }
+    with_bids = args.include_bids and args.format == "json"
     if args.plot_dir is not None:
+        # Plot data needs every bid, so each series is kept whole, here.
+        report = backtest(trace, specs, band, **options)
+        # Plot data first: a run whose plot data fails leaves no report behind.
         write_plot_data(report, trace, args.plot_dir)
-    _write_output(args.out, _report_pieces(report, args.format, args.include_bids))
+        texts = (_bids_json(r.series.bids, 3) for r in report.results)
+    else:
+        # Of each series only what the report writes is kept: the text of
+        # its bids, or nothing.
+        text = (lambda bids: _bids_json(bids, 3)) if with_bids else None
+        report = backtest_text(trace, specs, band, text, **options)
+        texts = (r.series.bids for r in report.results)
+    pieces = _report_pieces(report, args.format, texts if with_bids else None)
+    _write_output(args.out, pieces)
     return 0
 
 

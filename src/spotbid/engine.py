@@ -2,21 +2,24 @@
 
 Every strategy (or sweep cell) replays independently against the identical
 trace, in the deterministic configured order.  A large sweep splits its
-cells across forked processes; the results are those of a serial run.
+cells, and a large backtest_text its strategies, across forked processes;
+the results are those of a serial run.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import groupby, product
 
 from . import forking, metrics
 from .band_model import PriceBand
 from .controller import PiGains
-from .errors import UsageError
+from .errors import DataError, UsageError
 from .strategies import (
     Adjustments,
+    BidSeries,
+    StatMode,
     StrategyKind,
     StrategySpec,
     run_strategy,
@@ -33,6 +36,24 @@ ENGINE_VERSION = "0.1.0"
 # threshold, about twice that, so a sweep forks only for a clear gain.
 FORK_MIN_CELL_STEPS = 20_000
 
+# What replaying and scoring one trace point costs for each strategy kind,
+# and what writing its bid as report text adds, in ns (minimum of 7 runs on
+# the 25k-point benchmark trace, 2-CPU Intel Xeon host, Python 3.11.7).
+# backtest_text deals its strategies into shares by these costs.  A child
+# pays for itself from about 4 ms of them (the six strategies with bids
+# took 4.09 ms serial and 4.20 ms forked at 3.7 ms, 7.84 and 6.53 ms at
+# 7.3 ms, same host), so a backtest forks from FORK_MIN_BACKTEST_NS and
+# each share holds about half of it or more.
+_POINT_COST_NS = {
+    StrategyKind.FEEDBACK: (220, 230),
+    StrategyKind.MINIMUM: (85, 50),
+    StrategyKind.MEAN: (120, 215),
+    StrategyKind.HIGH: (90, 50),
+    StrategyKind.CURRENT: (85, 230),
+    StrategyKind.ONDEMAND: (50, 40),
+}
+FORK_MIN_BACKTEST_NS = 7_000_000
+
 # Bounds on the work a request may ask for, checked before any of it is
 # allocated (tracemalloc, 2-CPU Intel Xeon host, Python 3.11.7):
 # - a sweep keeps about 630 bytes of Python heap per cell whatever the
@@ -41,7 +62,8 @@ FORK_MIN_CELL_STEPS = 20_000
 #   CPU-hour;
 # - a backtest strategy keeps one bid per point until the report is written,
 #   32.7 bytes a point for a causal mean, so 64 strategies over 1M points
-#   hold about 2.1 GB.
+#   hold about 2.1 GB; backtest_text keeps instead its bids' text, about
+#   18 bytes a point, or nothing.
 MAX_SWEEP_CELLS = 250_000
 MAX_SWEEP_CELL_STEPS = 10**10
 MAX_STRATEGIES = 64
@@ -143,11 +165,59 @@ def backtest(
     """Replay every strategy against the same trace and score the set.
 
     Output ordering equals spec ordering; strategies sharing a kind get
-    #2/#3 suffixes so report names stay unique.  ``parallel`` is kept for
-    callers that pass it and selects nothing: a backtest always runs in
-    this process, because six strategies give little to split and their bid
-    tuples would come back as fresh floats.
+    #2/#3 suffixes so report names stay unique.  Each result keeps its
+    whole BidSeries, so every strategy runs in this process: ``parallel``
+    is kept for callers that pass it and selects nothing.  backtest_text is
+    the same run for a caller that needs less of each series, and it may
+    split the strategies across forked processes.
     """
+    return _backtest(trace, specs, band, allow_positive_gains, config_echo, _SERIES)
+
+
+def backtest_text(
+    trace: PriceTrace,
+    specs: Sequence[StrategySpec],
+    band: PriceBand,
+    text: Callable[[tuple[float, ...]], Iterable[str]] | None,
+    *,
+    allow_positive_gains: bool = False,
+    config_echo: dict[str, object] | None = None,
+) -> BacktestReport:
+    """backtest's report, keeping of each series only text(bids), an
+    ASCII text in pieces, or nothing when text is None.  Each result's
+    series.bids holds that text as an iterable of its pieces.  No bid tuple
+    outlives the text made of it.
+
+    With enough work (see _score_split) the strategies are split into
+    shares: this process runs one, a forked child each of the others, which
+    sends back each strategy's success rate, distance and text.  A text is
+    held in pieces of at most _TEXT_PIECE_BYTES; one from a child stays the
+    bytes it sent until it is read, then is decoded a piece at a time.  A
+    strategy left without a result (its child could not start, died or
+    failed, or this process's share raised a DataError) runs again here,
+    in spec order, so the report and the first error are those of a serial
+    run.
+    """
+    return _backtest(trace, specs, band, allow_positive_gains, config_echo, text)
+
+
+# backtest's keep: each result keeps its whole series.
+_SERIES = object()
+
+# The most characters of a kept text in one piece: writing a piece copies
+# it, so the report's write never holds a large text twice.
+_TEXT_PIECE_BYTES = 65_536
+
+
+def _backtest(
+    trace: PriceTrace,
+    specs: Sequence[StrategySpec],
+    band: PriceBand,
+    allow_positive_gains: bool,
+    config_echo: dict[str, object] | None,
+    keep: object,
+) -> BacktestReport:
+    """backtest (keep _SERIES) and backtest_text (keep its text function)."""
     validate(trace)
     if not specs:
         raise UsageError("at least one strategy is required")
@@ -158,22 +228,21 @@ def backtest(
     for spec in specs:
         validate_spec(spec, band, require_negative_gains=not allow_positive_gains)
 
-    series_list = [run_strategy(spec, trace, band) for spec in specs]
-    names = _unique_names([series.strategy_name for series in series_list])
-    summaries = [metrics.score(series, trace) for series in series_list]
+    if keep is _SERIES:
+        scored = [_score_one(spec, trace, band, keep) for spec in specs]
+    else:
+        scored = _score_split(specs, trace, band, keep)
+    names = _unique_names([spec.kind.value for spec in specs])
     rationality = metrics.relative_rationality(
-        [(name, summary.distance) for name, summary in zip(names, summaries)]
+        [(name, summary.distance) for name, (summary, _) in zip(names, scored)]
     )
-
     results = tuple(
         StrategyResult(
             name=name,
-            series=series._replace(strategy_name=name),
+            series=BidSeries(strategy_name=name, bids=kept, spec=spec),
             metrics=summary._replace(relative_rationality=rr),
         )
-        for name, series, summary, (_, rr) in zip(
-            names, series_list, summaries, rationality
-        )
+        for name, spec, (summary, kept), (_, rr) in zip(names, specs, scored, rationality)
     )
     warnings = ()
     if allow_positive_gains and any(
@@ -192,6 +261,140 @@ def backtest(
         config_echo=dict(config_echo or {}),
         warnings=warnings,
     )
+
+
+def _score_one(
+    spec: StrategySpec, trace: PriceTrace, band: PriceBand, keep: object
+) -> tuple[metrics.MetricsSummary, object]:
+    """One strategy's scores and what its result keeps: its bids for
+    _SERIES, else the pieces of keep(bids), cut to _TEXT_PIECE_BYTES, none
+    for None."""
+    series = run_strategy(spec, trace, band)
+    summary = metrics.score(series, trace)
+    if keep is _SERIES:
+        return summary, series.bids
+    if keep is None:
+        return summary, ()
+    return summary, tuple(
+        piece[start : start + _TEXT_PIECE_BYTES]
+        for piece in keep(series.bids)
+        for start in range(0, len(piece), _TEXT_PIECE_BYTES)
+    )
+
+
+def _score_split(
+    specs: Sequence[StrategySpec],
+    trace: PriceTrace,
+    band: PriceBand,
+    text: Callable[[tuple[float, ...]], Iterable[str]] | None,
+) -> list[tuple[metrics.MetricsSummary, Iterable[str]]]:
+    """_score_one for each spec, in spec order, in shares across processes.
+
+    A strategy's cost is its kind's per-point cost (_POINT_COST_NS) times
+    the trace's points.  With FORK_MIN_BACKTEST_NS or more in all (see
+    forking.share_count), this process takes the cheapest strategies up to
+    its fair share of the cost, and each other strategy, costliest first,
+    joins the child share that costs least so far.  The cheapest are the
+    statistics, which bid the trace's own price floats where feedback and
+    the causal mean make a float per bid: this process holds every text at
+    the end, so it sets the run's peak memory.  A child sends its share's
+    texts, then three doubles per strategy: success rate, distance and the
+    text's length.
+    """
+    costs = [_point_cost_ns(spec, text is not None) * len(trace) for spec in specs]
+    shares = min(len(specs), forking.share_count(sum(costs), FORK_MIN_BACKTEST_NS))
+    if shares < 2:
+        return [_score_one(spec, trace, band, text) for spec in specs]
+
+    order = sorted(range(len(specs)), key=costs.__getitem__)
+    fair, own, load = sum(costs) / shares, 0, 0
+    while load + costs[order[own]] <= fair:
+        load += costs[order[own]]
+        own += 1
+    parts = [order[:own]] + [[] for _ in range(shares - 1)]
+    loads = [0] * (shares - 1)  # of the child shares
+    for i in reversed(order[own:]):
+        k = loads.index(min(loads))
+        parts[k + 1].append(i)
+        loads[k] += costs[i]
+    parts = [part for part in parts if part]
+
+    def payload(part):  # run in a child
+        from array import array
+
+        out, table = bytearray(), array("d")
+        for i in part:
+            summary, pieces = _score_one(specs[i], trace, band, text)
+            start = len(out)
+            for piece in pieces:
+                out += piece.encode("ascii")
+            table.extend((summary.success_rate, summary.distance, len(out) - start))
+        out += table
+        return out
+
+    scored: list[tuple[metrics.MetricsSummary, Iterable[str]] | None] = [None] * len(specs)
+    try:
+        first, payloads = forking.run_shares(
+            lambda: [_score_one(specs[i], trace, band, text) for i in parts[0]],
+            [lambda part=part: payload(part) for part in parts[1:]],
+        )
+    except DataError:
+        first, payloads = [], []  # every strategy runs again below
+    for i, result in zip(parts[0], first):
+        scored[i] = result
+    for part, data in zip(parts[1:], payloads):
+        for i, result in zip(part, _unpack(data, len(part))):
+            scored[i] = result
+    return [
+        result or _score_one(spec, trace, band, text)
+        for spec, result in zip(specs, scored)
+    ]
+
+
+def _unpack(
+    data: bytes | None, count: int
+) -> list[tuple[metrics.MetricsSummary, Iterable[str]]]:
+    """A child's scores and text per strategy, or [] for a missing payload
+    or one of the wrong length."""
+    size = 24 * count  # three doubles a strategy
+    if data is None or len(data) < size:
+        return []
+    view = memoryview(data)
+    table = view[len(view) - size :].cast("d")
+    if sum(table[2::3]) != len(view) - size:
+        return []
+    start, unpacked = 0, []
+    for success_rate, distance, length in zip(table[::3], table[1::3], table[2::3]):
+        end = start + int(length)
+        text = _AsciiText(view[start:end])
+        unpacked.append((metrics.MetricsSummary(success_rate, distance), text))
+        start = end
+    return unpacked
+
+
+class _AsciiText:
+    """ASCII bytes, iterated as str pieces of at most _TEXT_PIECE_BYTES, so
+    the text a child sent is never held twice."""
+
+    __slots__ = ("view",)
+
+    def __init__(self, view: memoryview) -> None:
+        self.view = view
+
+    def __iter__(self) -> Iterator[str]:
+        view = self.view
+        for start in range(0, len(view), _TEXT_PIECE_BYTES):
+            yield str(view[start : start + _TEXT_PIECE_BYTES], "ascii")
+
+
+def _point_cost_ns(spec: StrategySpec, with_text: bool) -> int:
+    """What one trace point of spec costs to replay and score, and to write
+    as text when with_text is true."""
+    kind = spec.kind
+    if spec.stat_mode is StatMode.FULL_TRACE:
+        kind = StrategyKind.ONDEMAND  # a constant bid, as ondemand's
+    replay, text = _POINT_COST_NS[kind]
+    return replay + text if with_text else replay
 
 
 def sweep(

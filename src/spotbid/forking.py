@@ -1,11 +1,13 @@
 """Split one job into shares: this process runs the first, a forked child
 each of the others.
 
-A sweep's cells and a large AWS document's decode both use it.  A child
-hands back bytes through a pipe and ends in os._exit, so it never returns
-into the caller, runs no exit handler and flushes no stdio buffer it shares
-with this process.  The caller decides what a missing result means; both
-callers redo that share here, so any error is the serial one.
+A sweep's cells, a backtest's strategies and a large AWS document's decode
+use it.  A child hands back bytes through a pipe, their length first, so
+that this process reads them into one buffer of that size.  It ends in
+os._exit, so it never returns into the caller, runs no exit handler and
+flushes no stdio buffer it shares with this process.  The caller decides
+what a missing result means; every caller redoes that share here, so any
+error is the serial one.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import os
 import sys
 from collections.abc import Callable, Sequence
 
-Child = tuple[int, io.BufferedReader]
+Child = tuple[int, io.FileIO]
 
 
 def share_count(work: int, fork_min: int) -> int:
@@ -36,21 +38,22 @@ def share_count(work: int, fork_min: int) -> int:
 
 def run_shares(
     first: Callable[[], object], others: Sequence[Callable[[], object]]
-) -> tuple[object, list[bytes | None]]:
+) -> tuple[object, list[bytearray | None]]:
     """(first(), payloads), where first runs here and each of others in a
     forked child.
 
     Each of others returns a bytes-like object.  payloads[k] holds the bytes
-    others[k] returned, or None if its child could not start, raised or was
-    killed.  If first() raises, or reading a pipe does, every child not yet
-    reaped is killed.  Every child is reaped before this returns or raises.
+    others[k] returned, as a bytearray, or None if its child could not
+    start, raised, was killed or exited before it sent them all.  If first()
+    raises, or reading a pipe does, every child not yet reaped is killed.
+    Every child is reaped before this returns or raises.
     """
     # Imported before any child exists: after a MemoryError the import
     # could fail and leave a child running.  Loaded only by a job that forks.
     from signal import SIGKILL
 
     children: list[Child | None] = []
-    payloads: list[bytes | None] = []
+    payloads: list[bytearray | None] = []
     try:
         for task in others:
             children.append(_fork(task))
@@ -68,13 +71,15 @@ def run_shares(
 
 
 def _fork(task: Callable[[], object]) -> Child | None:
-    """Fork a child that writes task()'s bytes to a pipe and exits 0; its
-    (pid, read end of the pipe), or None if it could not start."""
+    """Fork a child that writes the length of task()'s bytes as 8 bytes,
+    then the bytes, to a pipe and exits 0; its (pid, read end of the pipe),
+    or None if it could not start."""
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
         return None
-    pipe = open(read_fd, "rb")  # before the fork, so nothing after it can fail
+    # Unbuffered, and opened before the fork, so nothing after it can fail.
+    pipe = open(read_fd, "rb", buffering=0)
     try:
         pid = os.fork()
     except OSError:
@@ -87,6 +92,7 @@ def _fork(task: Callable[[], object]) -> Child | None:
         try:
             os.close(read_fd)
             view = memoryview(task()).cast("B")
+            os.write(write_fd, len(view).to_bytes(8, "little"))  # atomic in a pipe
             while view:
                 view = view[os.write(write_fd, view):]
             status = 0
@@ -96,12 +102,30 @@ def _fork(task: Callable[[], object]) -> Child | None:
     return pid, pipe
 
 
-def _reap(child: Child | None) -> bytes | None:
-    """Read a child's pipe to EOF and wait for it: its bytes if it exited 0."""
+def _reap(child: Child | None) -> bytearray | None:
+    """Read a child's pipe and wait for it: its bytes if it sent them whole
+    and exited 0."""
     if child is None:
         return None
     pid, pipe = child
+    payload = None
     with pipe:
-        payload = pipe.read()
+        head = bytearray(8)
+        if _fill(pipe, head):
+            payload = bytearray(int.from_bytes(head, "little"))
+            if not _fill(pipe, payload):
+                payload = None
     _, status = os.waitpid(pid, 0)
     return payload if status == 0 else None
+
+
+def _fill(pipe: io.FileIO, buffer: bytearray) -> bool:
+    """Read from pipe into the whole of buffer; whether the pipe held that
+    many bytes."""
+    view, done = memoryview(buffer), 0
+    while done < len(buffer):
+        count = pipe.readinto(view[done:])
+        if not count:
+            return False
+        done += count
+    return True

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spotbid as sb
+from spotbid import engine
 from spotbid.cli import (
     _bids_json,
     _fixed,
@@ -501,21 +502,22 @@ def test_cli_rerun_byte_identical(tmp_path):
 
 
 def test_backtest_streams_the_json_report(tmp_path, monkeypatch):
-    # The report is written piece by piece, each bids array one piece.  Above
-    # its level when the replay returns, the run allocates less than the
-    # report's own size; held whole, the text alone is that size.
+    # The report is written piece by piece from the bids texts the replay
+    # kept.  Above its level when the replay returns, the run allocates less
+    # than the report's own size; held whole, the text alone is that size.
     trace = tmp_path / "trace.csv"
     assert run(["synth", *BAND_ARGS, "--points", "20000", "--out", str(trace)]) == 0
     out = tmp_path / "report.json"
     replayed = []
 
-    def backtest(*args, **kwargs):
-        report = sb.backtest(*args, **kwargs)
-        replayed.append((report, tracemalloc.get_traced_memory()[0]))
+    def backtest_text(trace, specs, band, text, **kwargs):
+        report = engine.backtest_text(trace, specs, band, text, **kwargs)
+        replayed.append((sb.backtest(trace, specs, band, **kwargs),
+                         tracemalloc.get_traced_memory()[0]))
         tracemalloc.reset_peak()
         return report
 
-    monkeypatch.setattr("spotbid.cli.backtest", backtest)
+    monkeypatch.setattr("spotbid.cli.backtest_text", backtest_text)
     tracemalloc.start()
     try:
         code = run(
@@ -697,11 +699,9 @@ def test_closed_stderr_keeps_the_exit_code(argv, code, log, closed):
     finally:
         os.close(write_end)
     assert proc.returncode == code
-    if code == 1 and closed == "descriptor":
-        # With no sys.stderr, argparse prints its usage text to standard output.
-        assert proc.stdout.startswith(b"usage: spotbid ingest") and b"error" not in proc.stdout
-    else:
-        assert proc.stdout == (b"" if code else (FIXTURES / "stephold_1001.csv").read_bytes())
+    # With no sys.stderr, a usage error writes nothing, not even to standard
+    # output, where argparse would put its usage text.
+    assert proc.stdout == (b"" if code else (FIXTURES / "stephold_1001.csv").read_bytes())
 
 
 @pytest.mark.parametrize("tool", ["cProfile", "trace"])
