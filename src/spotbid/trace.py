@@ -22,7 +22,7 @@ import re
 from collections import namedtuple
 from datetime import date, datetime, timezone
 from itertools import islice, repeat
-from operator import attrgetter, itemgetter, lt, sub
+from operator import attrgetter, lt, sub
 
 from . import forking
 from .band_model import PriceBand
@@ -71,6 +71,16 @@ _AWS_OPENER = re.compile(
     rb'[ \t\n\r]*(\{[ \t\n\r]*"SpotPriceHistory"[ \t\n\r]*:[ \t\n\r]*)?\['
 )
 _AWS_CUT = re.compile(rb",[ \t\n\r]*\{")
+
+# Bytes of an AWS record array decoded at a time: a piece ends at the first
+# cut at or past this many bytes from its start.  The 16.75 MB benchmark
+# document parsed in 116.5, 111.9, 111.2 and 116.1 ms in pieces of 16, 64,
+# 256 and 1024 KiB with one usable CPU (110.2 ms decoded whole), and in
+# 63.8, 60.9, 60.7 and 65.2 ms with two (73.4 ms in whole shares); in
+# process, best of 3 processes of 7 parses.  The tracemalloc peak of a
+# 2 MB document's parse was 0.21, 0.21, 0.30 and 1.05 times its size (1.44
+# whole).  2-CPU Intel Xeon host, Python 3.11.7.
+AWS_PIECE_BYTES = 64 * 1024
 
 # What _record_check's check returns for a record the filter drops: false,
 # and a tuple, which JSON never yields.
@@ -435,8 +445,9 @@ def to_csv(trace: PriceTrace) -> str:
     return "\n".join(["timestamp,price", *lines]) + "\n"
 
 
-def _common_label(values: tuple[str, ...]) -> str:
-    return values[0] if len(set(values)) == 1 else ""
+def _common_label(values) -> str:
+    labels = set(values)
+    return labels.pop() if len(labels) == 1 else ""
 
 
 def _aws_record(
@@ -465,7 +476,8 @@ def _aws_record(
 def _record_check(trace_filter: TraceFilter):
     """check(rec, idx=None): one record as the tuple
     (stamp, price, instance_type, product, zone) if the filter keeps it, or
-    _SKIPPED if it drops it.
+    _SKIPPED if it drops it.  A kept record holds the filter's own string
+    for each label the filter fixes, not a copy from the document.
 
     Without idx, as the hooked decode calls it, the record is checked inline,
     as parse_csv's chunk pass checks a row: five str fields, the stamp
@@ -517,7 +529,9 @@ def _record_check(trace_filter: TraceFilter):
         if want_zone is not None and zone != want_zone:
             return _SKIPPED
         delta = ts - epoch
-        return delta.days * 86400 + delta.seconds, price, instance_type, product, zone
+        # The filter's own strings, equal to the labels and shared by every record.
+        return (delta.days * 86400 + delta.seconds, price, want_type or instance_type,
+                want_product or product, want_zone or zone)
 
     return check
 
@@ -533,29 +547,31 @@ def parse_aws_json(
     Every record is checked, kept or not; only a kept one has its stamp
     converted to epoch seconds.
 
-    The text is decoded once, and the decoder hands every JSON object to
-    _record_check's check as it builds it, so a record's dict and strings
-    are freed at once and only the kept tuples stay.  A record the inline
+    The decoder hands every JSON object to _record_check's check as it
+    builds it, so a record's dict and strings are freed at once, and the
+    kept records are held as columns (see _share_columns).  A record the inline
     check declines stays a dict where the decoder left it; once the shape
     of the document is checked, check with its index hands it to the
-    helpers, so the first bad record and its message are the helpers'.  JSON never
-    yields a tuple, so a tuple in the array is a checked record.  Only a
-    hooked decode that ran out of depth or yielded a tuple (the top-level
-    object passed as a record) is followed by a plain decode, without the
-    hook; invalid JSON fails the hooked decode where it would fail the plain
-    one, with the same message.  An integer of more digits than int()
-    converts is invalid JSON too: json.loads raises a plain ValueError.
+    helpers, so the first bad record and its message are the helpers'.
+    JSON never yields a tuple, so a tuple in the array is a checked record.
 
-    Bytes of FORK_MIN_BYTES or more that open as an array or as
-    {"SpotPriceHistory": [ are decoded in shares, one per usable CPU, where
-    os.fork exists and no second thread runs (see _kept_in_shares and
-    forking.share_count).  Every share is decoded with the same hook, and
-    any doubt about a share falls back to the decode above, so the trace and
-    any error are the serial ones.
+    Bytes that open as an array or as {"SpotPriceHistory": [ are decoded a
+    piece of about AWS_PIECE_BYTES at a time, and from FORK_MIN_BYTES on in
+    shares, one per usable CPU, where os.fork exists and no second thread
+    runs (see _kept_in_shares and forking.share_count).  Every piece is
+    decoded with the same hook.  A document of one piece, and any doubt
+    about a piece, takes the whole-document decode below instead, so the
+    trace and any error are that decode's.  It decodes the whole text with
+    the hook; only a hooked decode that ran out of depth or yielded a tuple
+    (the top-level object passed as a record) is followed by a plain
+    decode, without the hook.  Invalid JSON fails the hooked decode where it
+    would fail the plain one, with the same message.  An integer of more
+    digits than int() converts is invalid JSON too: json.loads raises a
+    plain ValueError.
     """
     check = _record_check(trace_filter)
-    kept = _kept_in_shares(raw, check) if isinstance(raw, bytes) else None
-    if kept is None:
+    columns = _kept_in_shares(raw, check) if isinstance(raw, bytes) else None
+    if columns is None:
         # The input bytes and the decoded text are each as large as the file.
         # Each is freed as soon as it is no longer read, which lowers the
         # peak memory: the bytes once decoded (if the caller holds no other
@@ -580,20 +596,35 @@ def parse_aws_json(
             raise DataError("JSON object lacks a 'SpotPriceHistory' array")
         if not isinstance(records, list):
             raise DataError("expected an array of spot-price records")
-        kept = list(filter(None, _check_declined(records, check)))  # drops each _SKIPPED
+        kept = filter(None, _check_declined(records, check))  # drops each _SKIPPED
+        columns = list(zip(*kept)) or [()] * 5
         del doc, records
-    if not kept:
+    stamps, prices, types, products, zones = columns
+    if not stamps:
         raise DataError("zero records after filtering")
 
-    kept.sort(key=itemgetter(0))  # stable: ties keep input order
-    stamps, prices, types, products, zones = zip(*kept)
+    stamps, prices = list(stamps), list(prices)  # a list indexes faster than an array
+    order = sorted(range(len(stamps)), key=stamps.__getitem__)  # stable: ties keep input order
     return PriceTrace(
-        stamps,
-        prices,
+        tuple(map(stamps.__getitem__, order)),
+        tuple(map(prices.__getitem__, order)),
         instance_type=trace_filter.instance_type or _common_label(types),
         product=trace_filter.product or _common_label(products),
         zone=trace_filter.zone or _common_label(zones),
     )
+
+
+def _keep(columns: list, kept) -> None:
+    """Append the kept records, check's tuples, to columns (see
+    _share_columns).  A set of labels stops growing once it holds two: the
+    trace's label is then ""."""
+    values = list(zip(*kept))
+    if values:
+        columns[0].fromlist(list(values[0]))
+        columns[1].fromlist(list(values[1]))
+        for labels, texts in zip(columns[2:], values[2:]):
+            if len(labels) < 2:
+                labels.update(texts)
 
 
 def _check_declined(records: list, check) -> list:
@@ -607,41 +638,42 @@ def _check_declined(records: list, check) -> list:
 
 
 def _kept_in_shares(raw: bytes, check) -> list | None:
-    """The kept tuples of raw in input order, decoded in shares, or None
-    when the serial decode must run.
+    """The columns of raw's kept records in input order (see _share_columns),
+    decoded a piece at a time and from FORK_MIN_BYTES on in shares, or None
+    when the whole-document decode must run.
 
-    Only bytes of FORK_MIN_BYTES or more are cut, and only when they open as
-    an array or as {"SpotPriceHistory": [ (_AWS_OPENER).  Each cut is the
-    first "," + whitespace + "{" at or past an even split point.  This
-    process decodes the first share, raw up to the first cut plus the
-    closers; a forked child decodes each of the others, "[" + its bytes, the
-    last one through raw_decode.  Each share is decoded with check as its
-    hook, as the serial decode is.
+    Only bytes that open as an array or as {"SpotPriceHistory": [
+    (_AWS_OPENER) are cut.  From FORK_MIN_BYTES on they are split in one
+    share per usable CPU, each cut at the first "," + whitespace + "{" at or
+    past an even split point; this process decodes the first share and a
+    forked child each of the others.  Each share is decoded a piece at a
+    time by _share_columns, the pieces cut the same way, with check as the
+    hook, as the whole-document decode is.
 
-    A cut is trusted because every share decodes, the first one to an array
-    or to an object with the one key SpotPriceHistory, and the last one is
-    followed only by whitespace and the object's "}".  Then each cut lies
-    between two records of the record array: a cut inside a string leaves
-    it unterminated, a cut at another depth leaves the closers unbalanced,
-    and a key after the array fails the last share's check.  A duplicate
-    key before the cut is overwritten, in the share as in the serial decode.
+    A cut is trusted because every piece decodes to a nonempty array (the
+    document's first, from the opener on, to an array or to an object with
+    the one key SpotPriceHistory), and the last one is followed only by the
+    end of the document (_tail_ok).  By induction each piece starts at a record of
+    the record array, so one that decodes ends between two of them: a cut
+    inside a string leaves it unterminated, a cut at another depth leaves
+    the closers unbalanced, and a record array that ends inside the piece
+    leaves extra data.  A duplicate key in the first piece is overwritten,
+    as in the whole-document decode.
 
-    A child checks the records its share declined with the helpers and
-    sends, as marshal bytes, its record count with its kept tuples, or with
-    the index in its share and the dict of the first record the helpers
-    reject (marshal keeps the dicts, lists, tuples, strings and numbers of
-    a record as they are).  This process checks its own declined records
-    only once every share came back, then checks a child's rejected record
-    again with its index in the whole document, once every earlier share
-    is clean, so a DataError it raises is the serial one.  Any doubt
-    returns None: invalid JSON or UTF-8, nesting too deep, a child that
-    died or a fork that failed.  The serial decode then gives the trace or
-    the first error.
+    Each share gives its record count, the index in the share and the dict
+    of the first record the helpers reject (or None), and the columns of
+    its kept records; a child sends them as marshal bytes, which keep the
+    dicts, lists, tuples, strings and numbers of a record as they are, and
+    an array as its bytes.  This process checks a rejected record again
+    with its index in the whole document, once every share came back and
+    every earlier share is clean, so a DataError it raises is the whole
+    decode's.  Any doubt returns None: invalid JSON or UTF-8, nesting too
+    deep, a document of one piece, a child that died or a fork that failed.
     """
-    shares = forking.share_count(len(raw), FORK_MIN_BYTES)
-    opener = _AWS_OPENER.match(raw) if shares > 1 else None
+    opener = _AWS_OPENER.match(raw)
     if opener is None:
         return None
+    shares = forking.share_count(len(raw), FORK_MIN_BYTES)
     ends: list[int] = []  # where each share but the last ends
     starts = [0]  # where each share starts
     for k in range(1, shares):
@@ -650,72 +682,103 @@ def _kept_in_shares(raw: bytes, check) -> list | None:
             break
         ends.append(cut.start())
         starts.append(cut.end() - 1)
-    if not ends:
-        return None
+    if not ends and _AWS_CUT.search(raw, max(AWS_PIECE_BYTES, opener.end())) is None:
+        return None  # a document of one piece
     ends.append(len(raw))
     wrapped = opener.group(1) is not None
-
-    def child_share(start: int, end: int) -> bytes:
-        last = end == len(raw)
-        records = _share_records(
-            b"".join((b"[", memoryview(raw)[start:end], b"" if last else b"]")),
-            check,
-            ("}" if wrapped else "") if last else None,
-        )
-        try:
-            kept, bad = list(filter(None, _check_declined(records, check))), None
-        except DataError:
-            # _check_declined replaced every record before the bad one.
-            idx = next(i for i, rec in enumerate(records) if type(rec) is not tuple)
-            kept, bad = None, (idx, records[idx])
-        return marshal.dumps((len(records), kept, bad))
-
-    def first_share() -> list:
-        closer = b"]}" if wrapped else b"]"
-        return _share_records(b"".join((memoryview(raw)[:ends[0]], closer)), check, None)
-
     try:
-        records, payloads = forking.run_shares(
-            first_share,
-            [lambda s=s, e=e: child_share(s, e) for s, e in zip(starts[1:], ends[1:])],
-        )
-        if None in payloads:
-            return None
-        rest = list(map(marshal.loads, payloads))
+        if len(starts) == 1:
+            parts = [_share_columns(raw, 0, len(raw), check, wrapped)]
+        else:
+            first, payloads = forking.run_shares(
+                lambda: _share_columns(raw, 0, ends[0], check, wrapped),
+                [lambda s=s, e=e: marshal.dumps(_share_columns(raw, s, e, check, wrapped))
+                 for s, e in zip(starts[1:], ends[1:])],
+            )
+            if None in payloads:
+                return None
+            parts = [first, *map(marshal.loads, payloads)]
     except (ValueError, RecursionError, EOFError):  # marshal.loads(b"") raises EOFError
         return None
-    kept = list(filter(None, _check_declined(records, check)))
-    offset = len(records)
-    del records
-    for count, part, bad in rest:
+    offset = 0
+    for count, bad, _ in parts:
         if bad is not None:
             idx, rec = bad
-            check(rec, offset + idx)  # raises the child's error, at its index here
-        kept += part
+            check(rec, offset + idx)  # raises the share's error, at its index here
         offset += count
-    return kept
+    columns = parts[0][2]
+    for _, _, share in parts[1:]:  # a child's arrays came back as bytes
+        columns[0].frombytes(share[0])
+        columns[1].frombytes(share[1])
+        for labels, texts in zip(columns[2:], share[2:]):
+            labels |= texts
+    return columns
 
 
-def _share_records(share: bytes, check, tail: str | None) -> list:
-    """The record array of one share of an AWS document, decoded with check
-    as the hook; ValueError or RecursionError if the share is in doubt.
+def _share_columns(raw: bytes, start: int, end: int, check, wrapped: bool) -> tuple:
+    """(count, bad, columns) of the share raw[start:end] of an AWS record
+    array, decoded a piece at a time with check as the hook; ValueError or
+    RecursionError if a piece is in doubt.
 
-    tail is None for a share that json.loads decodes whole, or the text
-    that may follow the last share's array, besides whitespace.
+    count is the number of records in the share, bad None or the index in
+    the share and the dict of its first record the helpers reject, and
+    columns those of its kept records up to that one: their stamps as
+    array('q'), their prices as array('d') (exact doubles), and for each
+    label the set of its values, in the order of check's tuple.  A piece ends
+    before the first "," + whitespace + "{" at or past AWS_PIECE_BYTES from
+    its start; the document holds more than one piece.  The piece at 0 is
+    the document from its opener on, every other one "[" + its bytes; each
+    but the document's last is closed and decoded whole, and the last one
+    through raw_decode, then _tail_ok.
     """
-    text = share.decode("utf-8")  # a cut falls on a comma, never inside a character
-    del share
-    if tail is None:
-        doc = json.loads(text, object_hook=check)
-    else:
-        doc, end = json.JSONDecoder(object_hook=check).raw_decode(text)
-        if text[end:].strip(" \t\n\r") != tail:
-            raise ValueError("text after the record array")
-    if type(doc) is dict and len(doc) == 1:  # the first share of an object
-        doc = doc.get("SpotPriceHistory")
-    if type(doc) is not list:
-        raise ValueError("not a record array")
-    return doc
+    from array import array  # loaded only for a document of more than one piece
+
+    view = memoryview(raw)
+    columns, count, bad = [array("q"), array("d"), set(), set(), set()], 0, None
+    pos = start
+    while pos < end:
+        cut = _AWS_CUT.search(raw, pos + AWS_PIECE_BYTES, end)
+        stop = end if cut is None else cut.start()
+        last = stop == len(raw)
+        if pos == 0:
+            head, closer = b"", b"]}" if wrapped else b"]"
+        else:
+            head, closer = b"[", b"" if last else b"]"
+        # A cut falls on a comma, never inside a character.
+        text = b"".join((head, view[pos:stop], closer)).decode("utf-8")
+        if last:
+            records, at = json.JSONDecoder(object_hook=check).raw_decode(text)
+            if not _tail_ok(text[at:], wrapped):
+                raise ValueError("text after the record array")
+        else:
+            records = json.loads(text, object_hook=check)
+            if type(records) is dict and len(records) == 1:  # the first piece of an object
+                records = records.get("SpotPriceHistory")
+        del text
+        if type(records) is not list or not records:
+            raise ValueError("not a nonempty record array")
+        if bad is None:
+            try:
+                _keep(columns, filter(None, _check_declined(records, check)))
+            except DataError:
+                # _check_declined replaced every record before the bad one.
+                idx = next(i for i, rec in enumerate(records) if type(rec) is not tuple)
+                bad = count + idx, records[idx]
+        count += len(records)
+        pos = end if cut is None else cut.end() - 1
+    return count, bad, columns
+
+
+def _tail_ok(tail: str, wrapped: bool) -> bool:
+    """Whether tail, the text after the record array, ends the document:
+    JSON whitespace, then in an object "}" or its other members, which
+    decode without the hook and hold no SpotPriceHistory; ValueError or
+    RecursionError if they do not decode."""
+    tail = tail.strip(" \t\n\r")
+    if not (wrapped and tail.startswith(",")):
+        return tail == ("}" if wrapped else "")
+    members = json.loads("{" + tail[1:])
+    return bool(members) and "SpotPriceHistory" not in members
 
 
 def validate(trace: PriceTrace) -> PriceTrace:

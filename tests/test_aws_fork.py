@@ -1,10 +1,13 @@
-"""A large AWS document is decoded in shares across forked children.
+"""An AWS document is decoded a piece at a time, and a large one in shares
+across forked children.
 
-Forked or serial, parse_aws_json gives the same trace or the same first
-DataError and leaves no child process behind.  Each test fixes the number of
-usable CPUs by replacing os.sched_getaffinity, and most lower
+In pieces, in shares or whole, parse_aws_json gives the same trace or the
+same first DataError and leaves no child process behind.  Each test fixes
+the number of usable CPUs by replacing os.sched_getaffinity, and most lower
 trace.FORK_MIN_BYTES to 1, so a small document is split as a large one is,
-on a host with any number of CPUs.
+on a host with any number of CPUs; the piece tests lower
+trace.AWS_PIECE_BYTES too.  The reference is always the whole-document
+decode.
 """
 import errno
 import json
@@ -14,6 +17,7 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -24,7 +28,7 @@ from hypothesis import strategies as st
 import spotbid as sb
 from conftest import cli_env, limit_address_space
 from test_trace import (
-    AWS_FILTERS, AWS_ODD_RECORD, AWS_RECORD, LONG_INT, _aws_outcome, _record,
+    AWS_FILTERS, AWS_LABELS, AWS_ODD_RECORD, AWS_RECORD, LONG_INT, _aws_outcome, _record,
 )
 
 ALL = sb.TraceFilter()
@@ -80,9 +84,20 @@ def outcome(raw, cpus, trace_filter=ALL):
 
 
 def serial(raw, trace_filter=ALL):
-    result, forks, decoded = outcome(raw, 1, trace_filter)
+    """The outcome of the whole-document decode, which a document of one
+    piece takes anyway, forced here for a document of many."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sb.trace, "_kept_in_shares", lambda raw, check: None)
+        result, forks, decoded = outcome(raw, 1, trace_filter)
     assert (forks, decoded) == (0, True)
     return result
+
+
+@contextmanager
+def piece_bytes(size):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sb.trace, "AWS_PIECE_BYTES", size)
+        yield
 
 
 def document(records, wrapped=True, layout="default", **fields):
@@ -126,6 +141,143 @@ def test_a_clean_document_is_decoded_in_shares(layout, wrapped, cpus):
     assert outcome(raw, cpus) == (expected, cpus - 1, False)
     kept = sb.TraceFilter(instance_type="g2.8xlarge", zone="us-east-1b")
     assert outcome(raw, cpus, kept) == (serial(raw, kept), cpus - 1, False)
+
+
+def priced(records):
+    """records, each priced by its position, so that the order of ties shows."""
+    return [dict(rec, SpotPrice=f"{i}.25") for i, rec in enumerate(records)]
+
+
+# Stamps of two instants in forms the inline check reads and in forms it
+# declines (padded, "z"), so that ties cross pieces and shares.
+TIED_STAMPS = ["2020-01-01T00:00:00Z", "2020-01-01T00:00:00z", " 2020-01-01T00:01:00Z",
+               "2020-01-01T05:01:00+05:00", "2020-01-01T00:00:00.000Z"]
+TIED_RECORD = st.fixed_dictionaries(
+    {"Timestamp": st.sampled_from(TIED_STAMPS),
+     **{key: st.sampled_from(values) for key, values in AWS_LABELS.items()}}
+)
+# Twelve records of four markets on those stamps; one has a number for a label.
+PIECED = priced([_record(TIED_STAMPS[i % 5], instance=MARKETS[i % 4][0], zone=MARKETS[i % 4][1])
+                 for i in range(12)])
+PIECED[9]["ProductDescription"] = 5
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    records=st.lists(TIED_RECORD, min_size=1, max_size=12),
+    odd=st.lists(st.tuples(st.integers(0, 12), AWS_ODD_RECORD), max_size=2),
+    trace_filter=AWS_FILTERS,
+    wrapped=st.booleans(),
+    layout=st.sampled_from(sorted(LAYOUTS)),
+    cpus=st.integers(1, 3),
+    size=st.just(1) | st.integers(1, 600),
+)
+def test_a_parse_in_pieces_matches_the_whole_document_decode(
+    records, odd, trace_filter, wrapped, layout, cpus, size
+):
+    records = priced(records)
+    for at, rec in odd:
+        records.insert(at, rec)
+    raw = document(records, wrapped, layout)
+    with piece_bytes(size):
+        assert outcome(raw, cpus, trace_filter)[0] == serial(raw, trace_filter)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("wrapped", [True, False], ids=["object", "array"])
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_a_document_is_decoded_a_record_a_piece(layout, wrapped, cpus):
+    raw = document(PIECED, wrapped, layout)
+    with piece_bytes(1):
+        for trace_filter in (ALL, sb.TraceFilter(instance_type="g2.8xlarge")):
+            expected = serial(raw, trace_filter)
+            assert expected.startswith("PriceTrace(")
+            assert outcome(raw, cpus, trace_filter) == (expected, cpus - 1, False)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_the_members_after_the_record_array_end_the_document(layout, cpus):
+    # A SpotPriceHistory key inside another member is not one of the object's.
+    raw = document(PIECED, layout=layout, NextToken="eyJ2IjoyfQ==",
+                   Meta={"SpotPriceHistory": [], "Count": 12})
+    with piece_bytes(1):
+        expected = serial(raw)
+        assert expected.startswith("PriceTrace(")
+        assert outcome(raw, cpus) == (expected, cpus - 1, False)
+
+
+WRAPPED_PIECED = '{"SpotPriceHistory": ' + json.dumps(PIECED)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "text",
+    [
+        WRAPPED_PIECED + ', "SpotPriceHistory": %s}' % json.dumps(CLEAN[:3]),
+        WRAPPED_PIECED + ', "SpotPrice\\u0048istory": []}',
+        WRAPPED_PIECED + ', "NextToken": }',
+        WRAPPED_PIECED + ", }",
+        WRAPPED_PIECED + ', "NextToken": "x"',
+        WRAPPED_PIECED + ', "NextToken": "x"} x',
+        WRAPPED_PIECED + "}}",
+        WRAPPED_PIECED + ', "Deep": %s}' % ("[" * 100_000 + "]" * 100_000),
+        WRAPPED_PIECED + ', "Count": %s}' % LONG_INT,
+        json.dumps(PIECED) + "}",
+        json.dumps(PIECED) + ", []",
+        json.dumps(PIECED).replace("[", "[, ", 1),
+        WRAPPED_PIECED.replace("[", "[, ", 1) + "}",
+    ],
+    ids=["records-again", "escaped-records-again", "undecodable", "trailing-comma",
+         "unclosed", "trailing-text", "closed-twice", "nesting-too-deep", "digit-limit",
+         "array-closed-as-object", "array-then-text", "comma-after-array-opener",
+         "comma-after-object-opener"],
+)
+def test_a_document_in_doubt_after_its_pieces_is_decoded_whole(text, cpus):
+    # A long tail holds the middle of the document, where no share is cut.
+    raw = text.encode()
+    with piece_bytes(1):
+        result, _, decoded = outcome(raw, cpus)
+        assert (result, decoded) == (serial(raw), True)
+
+
+def test_a_kept_record_holds_the_labels_the_filter_fixes():
+    # The filter's own strings, not equal copies from the document; checked
+    # inline and through the helpers.
+    kept = sb.TraceFilter(instance_type="g2.8xlarge", zone="us-east-1b")
+    check = sb.trace._record_check(kept)
+    z_stamp = dict(CLEAN[3], Timestamp=CLEAN[3]["Timestamp"][:-1] + "z")
+    for rec, idx in ((CLEAN[3], None), (CLEAN[3], 3), (z_stamp, 3)):
+        _, _, instance_type, product, zone = check(json.loads(json.dumps(rec)), idx)
+        assert instance_type is kept.instance_type and zone is kept.zone
+        assert product == "Linux/UNIX"
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_parse_holds_a_fraction_of_the_document(cpus):
+    # tracemalloc counts this process's allocations only; with 2 CPUs a
+    # child decodes the second share.  Decoded whole, this document peaked
+    # at 1.54 times its size, and at 1.00 in two shares; in pieces of
+    # 64 KiB, at 0.24 and 0.22 (Python 3.11.7).
+    records = [
+        _record(sb.format_timestamp(1577836800 - 60 * i), price=f"{0.3 + i % 97 / 50:.6f}",
+                instance=MARKETS[i % 4][0], zone=MARKETS[i % 4][1])
+        for i in range(12_500)
+    ]
+    raw = document(records)
+    assert 1_900_000 < len(raw) < 2_200_000
+    kept = sb.TraceFilter(instance_type="g2.8xlarge", zone="us-east-1b")
+    with usable_cpus(cpus, sb.trace.FORK_MIN_BYTES) as forks:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            trace = sb.parse_aws_json(raw, kept)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert_no_child_left()
+    assert (len(forks), len(trace)) == (cpus - 1, 3_125)
+    assert peak < len(raw) / 2
 
 
 def _split_result(raw, cpus=2):
@@ -172,13 +324,15 @@ def test_duplicate_record_arrays(cut_in):
     ids=["next-token", "records-under-another-key"],
 )
 def test_a_key_after_the_record_array(records, fields):
-    # The archived records hold the cut: the first share then decodes to an
-    # object with two keys, and the last share to clean records.
+    # The last share's tail holds the other members of the object, which is
+    # its end.  The archived records hold the cut: the first share then
+    # decodes to an object with two keys, which is in doubt.
     raw = document(records, **fields)
-    if "Archive" in fields:
+    archived = "Archive" in fields
+    if archived:
         assert raw.index(b'"Archive"') < sb.trace._AWS_CUT.search(raw, len(raw) // 2).start()
     result, decoded = _split_result(raw)
-    assert result.startswith("PriceTrace(") and decoded
+    assert result.startswith("PriceTrace(") and decoded == archived
 
 
 def test_a_record_holding_an_array_of_objects_at_the_cut():
@@ -409,13 +563,15 @@ def test_cli_forked_ingest_writes_the_serial_bytes(tmp_path):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS as Linux enforces it")
 def test_out_of_memory_during_a_forked_ingest_is_a_data_error(tmp_path):
-    # Every record has a "z" stamp, so the decode keeps each as a dict, and
-    # 200 two-letter strings, about 10 bytes of heap per byte of input: the
-    # 62 MB document is read whole and split, and each share outgrows the
-    # 200 MB limit.
-    record = json.dumps(dict(_record("2020-01-01T00:00:00z"), Extra=["ab"] * 200)).encode()
+    # Two records of five million two-letter strings each, about 10 bytes of
+    # heap per byte of input: the 62 MB document is read whole and split
+    # between them, and a piece holds a whole record, so each share
+    # outgrows the 200 MB limit.
+    records = [json.dumps(dict(_record("2020-01-01T00:00:00z"), Extra=["ab"] * count)).encode()
+               for count in (5_500_000, 4_800_000)]
     doc = tmp_path / "history.json"
-    doc.write_bytes(b'{"SpotPriceHistory": [' + b", ".join([record] * 45_000) + b"]}")
+    doc.write_bytes(b'{"SpotPriceHistory": [' + b", ".join(records) + b"]}")
+    assert os.path.getsize(doc) // 2 < len(records[0])  # the share cut lies between them
     proc = run_cli(2, ["ingest", "--aws-json", str(doc)],
                    preexec_fn=lambda: limit_address_space(200 << 20))
     assert (proc.returncode, proc.stderr) == (2, "error: out of memory while running ingest\n")
