@@ -517,10 +517,12 @@ def write_plot_data(report: BacktestReport, trace: PriceTrace, plot_dir: str) ->
 # ---------------------------------------------------------------- handlers
 
 
-def _read_bytes(path_text: str) -> bytes:
+def _use_file(path_text: str, use: Callable[..., object]) -> object:
+    """use(the file path_text, open for binary reading).  An OSError while
+    it is opened or read, also inside use, is a DataError naming it."""
     try:
         with open(path_text, "rb") as file:
-            return file.read()
+            return use(file)
     except OSError as exc:
         raise DataError(f"cannot read {path_text}: {exc}") from None
 
@@ -571,7 +573,7 @@ def _write_output(path: str | None, pieces: Iterable[str]) -> None:
 def _load_trace(args: argparse.Namespace) -> PriceTrace:
     if args.trace is not None:
         _log(_LOG_LEVELS["info"], "parsing CSV trace %s", args.trace)
-        trace = parse_csv(_read_bytes(args.trace))
+        trace = parse_csv(_use_file(args.trace, lambda file: file.read()))
     else:
         _log(_LOG_LEVELS["info"], "parsing spot-price-history JSON %s", args.aws_json)
         trace_filter = TraceFilter(
@@ -579,7 +581,8 @@ def _load_trace(args: argparse.Namespace) -> PriceTrace:
             product=args.product,
             zone=args.zone,
         )
-        trace = parse_aws_json(_read_bytes(args.aws_json), trace_filter)
+        # A regular file is read a piece at a time, never held whole.
+        trace = _use_file(args.aws_json, lambda file: parse_aws_json(file, trace_filter))
     return validate(trace)
 
 

@@ -18,7 +18,9 @@ import io
 import json
 import marshal
 import math
+import os
 import re
+import stat
 from collections import namedtuple
 from datetime import date, datetime, timezone
 from itertools import islice, repeat
@@ -43,6 +45,11 @@ _TWO_DIGITS = tuple(f"{n:02d}" for n in range(60))
 # the row loop's at 16 KiB and 0.4 MB at 32 KiB.
 CSV_CHUNK_BYTES = 16 * 1024
 _BOM = b"\xef\xbb\xbf"
+# Rows to_csv formats at a time.  The 25k-point trace the AWS benchmark
+# keeps was written with a heap peak of 1.52 MB, twice its 0.74 MB of text,
+# against 5.59 MB with every row's text alive at once, in 11.4 against
+# 11.9 ms (tracemalloc; min of 15; 2-CPU Intel Xeon host, Python 3.11.7).
+_CSV_BLOCK_ROWS = 4096
 # Every byte but "," and "\n": deleting them leaves a chunk's separators.
 _NOT_SEPARATORS = bytes(sorted(set(range(256)).difference(b",\n")))
 _TZINFO = attrgetter("tzinfo")
@@ -71,6 +78,14 @@ _AWS_OPENER = re.compile(
     rb'[ \t\n\r]*(\{[ \t\n\r]*"SpotPriceHistory"[ \t\n\r]*:[ \t\n\r]*)?\['
 )
 _AWS_CUT = re.compile(rb",[ \t\n\r]*\{")
+_JSON_SPACE = b" \t\n\r"
+
+# Bytes read from the start of an AWS document to match _AWS_OPENER: a
+# document whose opener, with its whitespace, is longer is decoded whole.
+_HEAD_BYTES = 4096
+# Bytes read at a time while looking for a cut.  A cut lies within a record
+# or two of where the search starts; a longer run is read window by window.
+_CUT_WINDOW_BYTES = 4096
 
 # Bytes of an AWS record array decoded at a time: a piece ends at the first
 # cut at or past this many bytes from its start.  The 16.75 MB benchmark
@@ -438,11 +453,16 @@ def to_csv(trace: PriceTrace) -> str:
     """Serialize a trace to the canonical CSV form.
 
     Prices are written with repr so that parse(to_csv(trace)) recovers the
-    exact same doubles.
+    exact same doubles.  The text is built _CSV_BLOCK_ROWS rows at a time,
+    so only one block's stamp texts and lines are alive beside it.
     """
-    texts = format_timestamps(trace.stamps)
-    lines = [f"{text},{price!r}" for text, price in zip(texts, trace.price_column)]
-    return "\n".join(["timestamp,price", *lines]) + "\n"
+    stamps, prices = trace.stamps, trace.price_column
+    blocks = ["timestamp,price\n"]
+    for at in range(0, len(stamps), _CSV_BLOCK_ROWS):
+        texts = format_timestamps(stamps[at:at + _CSV_BLOCK_ROWS])
+        block = prices[at:at + _CSV_BLOCK_ROWS]
+        blocks.append("".join([f"{text},{price!r}\n" for text, price in zip(texts, block)]))
+    return "".join(blocks)
 
 
 def _common_label(values) -> str:
@@ -537,7 +557,7 @@ def _record_check(trace_filter: TraceFilter):
 
 
 def parse_aws_json(
-    raw: bytes | str, trace_filter: TraceFilter = TraceFilter()
+    raw: bytes | str | io.IOBase, trace_filter: TraceFilter = TraceFilter()
 ) -> PriceTrace:
     """Parse a spot-price-history JSON export, filter, and sort by time.
 
@@ -547,6 +567,15 @@ def parse_aws_json(
     Every record is checked, kept or not; only a kept one has its stamp
     converted to epoch seconds.
 
+    raw is the document's bytes or text, or a binary file open on it.  A
+    regular file is the document from offset 0 to the size os.fstat gives
+    when the parse starts, and every read of it is an os.pread, which leaves
+    the file's offset alone, so that a forked child can read its share of
+    the same open file; the document is never held whole unless the
+    whole-document decode below runs.  Any other file (a pipe, say) is read
+    whole from where it stands, and parsed as its bytes.  A read that fails
+    raises its OSError.
+
     The decoder hands every JSON object to _record_check's check as it
     builds it, so a record's dict and strings are freed at once, and the
     kept records are held as columns (see _share_columns).  A record the inline
@@ -555,27 +584,40 @@ def parse_aws_json(
     helpers, so the first bad record and its message are the helpers'.
     JSON never yields a tuple, so a tuple in the array is a checked record.
 
-    Bytes that open as an array or as {"SpotPriceHistory": [ are decoded a
-    piece of about AWS_PIECE_BYTES at a time, and from FORK_MIN_BYTES on in
-    shares, one per usable CPU, where os.fork exists and no second thread
-    runs (see _kept_in_shares and forking.share_count).  Every piece is
-    decoded with the same hook.  A document of one piece, and any doubt
-    about a piece, takes the whole-document decode below instead, so the
-    trace and any error are that decode's.  It decodes the whole text with
-    the hook; only a hooked decode that ran out of depth or yielded a tuple
-    (the top-level object passed as a record) is followed by a plain
-    decode, without the hook.  Invalid JSON fails the hooked decode where it
-    would fail the plain one, with the same message.  An integer of more
-    digits than int() converts is invalid JSON too: json.loads raises a
-    plain ValueError.
+    Bytes or a file that open as an array or as {"SpotPriceHistory": [ are
+    decoded a piece of about AWS_PIECE_BYTES at a time, and from
+    FORK_MIN_BYTES on in shares, one per usable CPU, where os.fork exists
+    and no second thread runs (see _kept_in_shares and
+    forking.share_count).  Every piece is decoded with the same hook.  A
+    document of one piece, and any doubt about a piece, takes the
+    whole-document decode below instead, so the trace and any error are
+    that decode's; a regular file is then read whole, up to its size.  It
+    decodes the whole text with the hook; only a hooked decode that ran out
+    of depth or yielded a tuple (the top-level object passed as a record) is
+    followed by a plain decode, without the hook.  Invalid JSON fails the
+    hooked decode where it would fail the plain one, with the same message.
+    An integer of more digits than int() converts is invalid JSON too:
+    json.loads raises a plain ValueError.
     """
     check = _record_check(trace_filter)
-    columns = _kept_in_shares(raw, check) if isinstance(raw, bytes) else None
+    if not isinstance(raw, (bytes, str)) and not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
+        raw = raw.read()  # a pipe, say, cannot be read at an offset
+    if isinstance(raw, str):
+        columns = None
+    else:
+        if isinstance(raw, bytes):
+            read, size = (lambda offset, count: raw[offset:offset + count]), len(raw)
+        else:
+            fd = raw.fileno()
+            read, size = (lambda offset, count: _pread(fd, offset, count)), os.fstat(fd).st_size
+        columns = _kept_in_shares(read, size, check)
+        if columns is None:
+            raw = read(0, size)  # of bytes, the object itself: a whole slice is no copy
     if columns is None:
         # The input bytes and the decoded text are each as large as the file.
         # Each is freed as soon as it is no longer read, which lowers the
         # peak memory: the bytes once decoded (if the caller holds no other
-        # reference, as when the CLI passes them straight in), the text once
+        # reference, as for bytes read from a file here), the text once
         # decoded.
         text = _decode(raw)
         del raw
@@ -637,18 +679,30 @@ def _check_declined(records: list, check) -> list:
     return records
 
 
-def _kept_in_shares(raw: bytes, check) -> list | None:
-    """The columns of raw's kept records in input order (see _share_columns),
-    decoded a piece at a time and from FORK_MIN_BYTES on in shares, or None
-    when the whole-document decode must run.
+def _pread(fd: int, offset: int, count: int) -> bytes:
+    """count bytes of the file fd from offset on, fewer only where it ends.
+    One os.pread gives at most about 2 GiB."""
+    data = os.pread(fd, count, offset)
+    while len(data) < count and (more := os.pread(fd, count - len(data), offset + len(data))):
+        data += more
+    return data
 
-    Only bytes that open as an array or as {"SpotPriceHistory": [
-    (_AWS_OPENER) are cut.  From FORK_MIN_BYTES on they are split in one
-    share per usable CPU, each cut at the first "," + whitespace + "{" at or
-    past an even split point; this process decodes the first share and a
-    forked child each of the others.  Each share is decoded a piece at a
-    time by _share_columns, the pieces cut the same way, with check as the
-    hook, as the whole-document decode is.
+
+def _kept_in_shares(read, size: int, check) -> list | None:
+    """The columns of the kept records of a document of size bytes in input
+    order (see _share_columns), decoded a piece at a time and from
+    FORK_MIN_BYTES on in shares, or None when the whole-document decode must
+    run.  read(offset, count) gives the document's bytes from offset on, at
+    most count of them: fewer only where the document ends.
+
+    Only a document that opens as an array or as {"SpotPriceHistory": [
+    (_AWS_OPENER, within its first _HEAD_BYTES) is cut.  From FORK_MIN_BYTES
+    on it is split in one share per usable CPU, each cut at the first "," +
+    whitespace + "{" at or past an even split point (_next_cut); this
+    process decodes the first share and a forked child each of the others.
+    Each share reads its own bytes and is decoded a piece at a time by
+    _share_columns, the pieces cut the same way, with check as the hook, as
+    the whole-document decode is.
 
     A cut is trusted because every piece decodes to a nonempty array (the
     document's first, from the opener on, to an array or to an object with
@@ -668,31 +722,34 @@ def _kept_in_shares(raw: bytes, check) -> list | None:
     with its index in the whole document, once every share came back and
     every earlier share is clean, so a DataError it raises is the whole
     decode's.  Any doubt returns None: invalid JSON or UTF-8, nesting too
-    deep, a document of one piece, a child that died or a fork that failed.
+    deep, a document of one piece, a read that came back short (a file cut
+    short during the parse), a child that died or a fork that failed.  A
+    read that fails here raises its OSError; one that fails in a child
+    leaves its share in doubt.
     """
-    opener = _AWS_OPENER.match(raw)
+    opener = _AWS_OPENER.match(read(0, _HEAD_BYTES))
     if opener is None:
         return None
-    shares = forking.share_count(len(raw), FORK_MIN_BYTES)
+    shares = forking.share_count(size, FORK_MIN_BYTES)
     ends: list[int] = []  # where each share but the last ends
     starts = [0]  # where each share starts
     for k in range(1, shares):
-        cut = _AWS_CUT.search(raw, max(len(raw) * k // shares, starts[-1], opener.end()))
+        cut = _next_cut(read, max(size * k // shares, starts[-1], opener.end()), size)
         if cut is None:
             break
-        ends.append(cut.start())
-        starts.append(cut.end() - 1)
-    if not ends and _AWS_CUT.search(raw, max(AWS_PIECE_BYTES, opener.end())) is None:
+        ends.append(cut)
+        starts.append(cut + 1)
+    if not ends and _next_cut(read, max(AWS_PIECE_BYTES, opener.end()), size) is None:
         return None  # a document of one piece
-    ends.append(len(raw))
+    ends.append(size)
     wrapped = opener.group(1) is not None
     try:
         if len(starts) == 1:
-            parts = [_share_columns(raw, 0, len(raw), check, wrapped)]
+            parts = [_share_columns(read, 0, size, size, check, wrapped)]
         else:
             first, payloads = forking.run_shares(
-                lambda: _share_columns(raw, 0, ends[0], check, wrapped),
-                [lambda s=s, e=e: marshal.dumps(_share_columns(raw, s, e, check, wrapped))
+                lambda: _share_columns(read, 0, ends[0], size, check, wrapped),
+                [lambda s=s, e=e: marshal.dumps(_share_columns(read, s, e, size, check, wrapped))
                  for s, e in zip(starts[1:], ends[1:])],
             )
             if None in payloads:
@@ -715,9 +772,38 @@ def _kept_in_shares(raw: bytes, check) -> list | None:
     return columns
 
 
-def _share_columns(raw: bytes, start: int, end: int, check, wrapped: bool) -> tuple:
-    """(count, bad, columns) of the share raw[start:end] of an AWS record
-    array, decoded a piece at a time with check as the hook; ValueError or
+def _next_cut(read, pos: int, end: int) -> int | None:
+    """Where the first "," + whitespace + "{" at or past pos and wholly
+    before end starts, as _AWS_CUT.search would find it in the document; or
+    None.  The bytes are read _CUT_WINDOW_BYTES at a time, and a "," that
+    ends a window with only whitespace after it is carried into the next,
+    so a cut is found across any number of windows."""
+    comma = None  # a "," followed by whitespace alone up to pos
+    while pos < end:
+        window = read(pos, min(_CUT_WINDOW_BYTES, end - pos))
+        if not window:
+            return None  # the document ends before end: the pieces find that out
+        if comma is not None:
+            rest = window.lstrip(_JSON_SPACE)
+            if rest.startswith(b"{"):
+                return comma
+            if rest:
+                comma = None
+        if comma is None:
+            cut = _AWS_CUT.search(window)
+            if cut is not None:
+                return pos + cut.start()
+            head = window.rstrip(_JSON_SPACE)
+            if head.endswith(b","):
+                comma = pos + len(head) - 1
+        pos += len(window)
+    return None
+
+
+def _share_columns(read, start: int, end: int, size: int, check, wrapped: bool) -> tuple:
+    """(count, bad, columns) of the share from byte start to byte end of an
+    AWS record array of size bytes, read with read (see _kept_in_shares) and
+    decoded a piece at a time with check as the hook; ValueError or
     RecursionError if a piece is in doubt.
 
     count is the number of records in the share, bad None or the index in
@@ -726,26 +812,31 @@ def _share_columns(raw: bytes, start: int, end: int, check, wrapped: bool) -> tu
     array('q'), their prices as array('d') (exact doubles), and for each
     label the set of its values, in the order of check's tuple.  A piece ends
     before the first "," + whitespace + "{" at or past AWS_PIECE_BYTES from
-    its start; the document holds more than one piece.  The piece at 0 is
-    the document from its opener on, every other one "[" + its bytes; each
-    but the document's last is closed and decoded whole, and the last one
-    through raw_decode, then _tail_ok.
+    its start, and the next one starts after that ","; the document holds
+    more than one piece.  The piece at 0 is the document from its opener on,
+    every other one "[" + its bytes; each but the document's last is closed
+    and decoded whole, and the last one through raw_decode, then _tail_ok.
+    A piece read short is in doubt.
     """
     from array import array  # loaded only for a document of more than one piece
 
-    view = memoryview(raw)
     columns, count, bad = [array("q"), array("d"), set(), set(), set()], 0, None
     pos = start
     while pos < end:
-        cut = _AWS_CUT.search(raw, pos + AWS_PIECE_BYTES, end)
-        stop = end if cut is None else cut.start()
-        last = stop == len(raw)
+        stop = _next_cut(read, pos + AWS_PIECE_BYTES, end)
+        if stop is None:
+            stop = end
+        data = read(pos, stop - pos)
+        if len(data) != stop - pos:
+            raise ValueError("the input ended before its size")
+        last = stop == size
         if pos == 0:
             head, closer = b"", b"]}" if wrapped else b"]"
         else:
             head, closer = b"[", b"" if last else b"]"
         # A cut falls on a comma, never inside a character.
-        text = b"".join((head, view[pos:stop], closer)).decode("utf-8")
+        text = b"".join((head, data, closer)).decode("utf-8")
+        del data
         if last:
             records, at = json.JSONDecoder(object_hook=check).raw_decode(text)
             if not _tail_ok(text[at:], wrapped):
@@ -765,7 +856,7 @@ def _share_columns(raw: bytes, start: int, end: int, check, wrapped: bool) -> tu
                 idx = next(i for i, rec in enumerate(records) if type(rec) is not tuple)
                 bad = count + idx, records[idx]
         count += len(records)
-        pos = end if cut is None else cut.end() - 1
+        pos = stop + 1
     return count, bad, columns
 
 

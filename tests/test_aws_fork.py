@@ -1,12 +1,13 @@
 """An AWS document is decoded a piece at a time, and a large one in shares
 across forked children.
 
-In pieces, in shares or whole, parse_aws_json gives the same trace or the
-same first DataError and leaves no child process behind.  Each test fixes
-the number of usable CPUs by replacing os.sched_getaffinity, and most lower
-trace.FORK_MIN_BYTES to 1, so a small document is split as a large one is,
-on a host with any number of CPUs; the piece tests lower
-trace.AWS_PIECE_BYTES too.  The reference is always the whole-document
+In pieces, in shares or whole, from bytes or from a file, parse_aws_json
+gives the same trace or the same first DataError and leaves no child
+process behind.  Each test fixes the number of usable CPUs by replacing
+os.sched_getaffinity, and most lower trace.FORK_MIN_BYTES to 1, so a small
+document is split as a large one is, on a host with any number of CPUs; the
+piece tests lower trace.AWS_PIECE_BYTES too, and the file tests
+trace._CUT_WINDOW_BYTES.  The reference is always the whole-document
 decode.
 """
 import errno
@@ -16,6 +17,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from contextlib import contextmanager
@@ -87,7 +89,7 @@ def serial(raw, trace_filter=ALL):
     """The outcome of the whole-document decode, which a document of one
     piece takes anyway, forced here for a document of many."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sb.trace, "_kept_in_shares", lambda raw, check: None)
+        mp.setattr(sb.trace, "_kept_in_shares", lambda read, size, check: None)
         result, forks, decoded = outcome(raw, 1, trace_filter)
     assert (forks, decoded) == (0, True)
     return result
@@ -278,6 +280,214 @@ def test_the_parse_holds_a_fraction_of_the_document(cpus):
     assert_no_child_left()
     assert (len(forks), len(trace)) == (cpus - 1, 3_125)
     assert peak < len(raw) / 2
+
+
+@contextmanager
+def cut_window(size):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sb.trace, "_CUT_WINDOW_BYTES", size)
+        yield
+
+
+@contextmanager
+def regular_file(raw):
+    """A regular file holding raw, open for reading and writing."""
+    with tempfile.TemporaryFile() as file:
+        file.write(raw)
+        file.flush()
+        yield file
+
+
+def file_outcome(raw, cpus, trace_filter=ALL):
+    """outcome() of the parse of a regular file holding raw."""
+    with regular_file(raw) as file:
+        return outcome(file, cpus, trace_filter)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    records=st.lists(TIED_RECORD, min_size=1, max_size=12),
+    odd=st.lists(st.tuples(st.integers(0, 12), AWS_ODD_RECORD), max_size=2),
+    trace_filter=AWS_FILTERS,
+    wrapped=st.booleans(),
+    token=st.booleans(),
+    layout=st.sampled_from(sorted(LAYOUTS)),
+    cpus=st.integers(1, 3),
+    size=st.just(1) | st.integers(1, 600),
+    window=st.integers(1, 40),
+)
+def test_a_file_parses_as_its_bytes_and_as_the_whole_document_decode(
+    records, odd, trace_filter, wrapped, token, layout, cpus, size, window
+):
+    # Windows of a few bytes end inside the "," + whitespace + "{" of a cut,
+    # which the indented and tab layouts space out over several bytes.
+    records = priced(records)
+    for at, rec in odd:
+        records.insert(at, rec)
+    tail = {"NextToken": "eyJ2IjoyfQ=="} if token else {}
+    raw = document(records, wrapped, layout, **tail)
+    expected = serial(raw, trace_filter)
+    with piece_bytes(size), cut_window(window):
+        from_bytes = outcome(raw, cpus, trace_filter)
+        assert from_bytes[0] == expected
+        assert file_outcome(raw, cpus, trace_filter) == from_bytes
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    layout=st.sampled_from(sorted(LAYOUTS)),
+    wrapped=st.booleans(),
+    spaces=st.sampled_from([0, 1, 50]),
+    window=st.integers(1, 12),
+    data=st.data(),
+)
+def test_a_cut_is_found_across_read_windows(layout, wrapped, spaces, window, data):
+    # The first cut at or past pos that ends by end, as the regular
+    # expression finds it in the whole document; spaces pads the first cut.
+    raw = document(PIECED, wrapped, layout)
+    raw = sb.trace._AWS_CUT.sub(b"," + b" " * spaces + b"{", raw, count=1)
+    pos = data.draw(st.integers(0, len(raw)))
+    end = data.draw(st.integers(pos, len(raw)))
+    match = sb.trace._AWS_CUT.search(raw, pos, end)
+    with cut_window(window):
+        found = sb.trace._next_cut(lambda offset, count: raw[offset:offset + count], pos, end)
+    assert found == (match and match.start())
+
+
+@contextmanager
+def wrapped_pread(before):
+    """Replace os.pread, in this process and in each child forked after,
+    by one that first calls before(fd, count, offset, calls), calls counting
+    the reads this process made until then."""
+    pread, calls = os.pread, []
+
+    def wrapper(fd, count, offset):
+        before(fd, count, offset, len(calls))
+        calls.append(offset)
+        return pread(fd, count, offset)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "pread", wrapper)
+        yield
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("reads", [0, 5])
+@pytest.mark.parametrize("length", ["empty", "a third", "at a cut", "one byte short"])
+def test_a_file_cut_short_during_the_parse(length, reads, cpus):
+    # Cut after its size was taken and after reads reads: whichever decode
+    # runs, its outcome is that of the whole document or of what is left,
+    # which is never a whole document here, so a data error.
+    raw = document(PIECED, layout="indented")
+    at = {"empty": 0, "a third": len(raw) // 3, "one byte short": len(raw) - 1,
+          "at a cut": sb.trace._AWS_CUT.search(raw, len(raw) // 2).start()}[length]
+
+    def truncate(fd, count, offset, calls):
+        if calls >= reads:
+            os.ftruncate(fd, at)
+
+    with piece_bytes(1), regular_file(raw) as file, wrapped_pread(truncate):
+        result, _, _ = outcome(file, cpus)
+    assert result in (serial(raw), serial(raw[:at]))
+    assert result.startswith("DataError: ")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("reads", [0, 5])
+def test_a_file_grown_during_the_parse(reads, cpus):
+    # The document ends at the size the parse took: what is written after
+    # it, even text that would make the whole file invalid, is not read.
+    raw = document(PIECED, layout="tabs")
+
+    def append(fd, count, offset, calls):
+        if calls == reads:
+            os.pwrite(fd, b', "x"]', os.fstat(fd).st_size)
+
+    with piece_bytes(1), regular_file(raw) as file, wrapped_pread(append):
+        assert outcome(file, cpus) == (serial(raw), cpus - 1, False)
+        assert file.seek(0, os.SEEK_END) > len(raw)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("bom", [False, True], ids=["pieces", "whole"])
+def test_a_file_read_a_few_bytes_a_call(bom, cpus):
+    # A read may give less than it was asked for before the end of the
+    # file, as one os.pread does past about 2 GiB; the parse asks again,
+    # in pieces and in the whole-document decode a byte order mark forces.
+    pread = os.pread
+    raw = b"\xef\xbb\xbf" * bom + document(PIECED, layout="indented")
+    with regular_file(raw) as file, piece_bytes(1), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "pread", lambda fd, count, offset: pread(fd, min(count, 7), offset))
+        assert outcome(file, cpus) == (serial(raw), 0 if bom else cpus - 1, bom)
+
+
+def failing_read(when):
+    def before(fd, count, offset, calls):
+        if when(offset, count):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+    return before
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("where", ["everywhere", "last record"])
+def test_a_read_that_fails_is_a_data_error_naming_the_file(tmp_path, capsys, where, cpus):
+    # A read of the last record fails in the child that decodes it with 2
+    # CPUs, and again in this process, which then reads the whole file.  The
+    # record lies past the bytes read to find the opener.
+    raw = document([_record(sb.format_timestamp(1577836800 - 60 * i)) for i in range(60)])
+    assert raw.rindex(b"SpotPrice") > sb.trace._HEAD_BYTES
+    path = tmp_path / "history.json"
+    path.write_bytes(raw)
+    bad = raw.rindex(b"SpotPrice")
+    when = {"everywhere": lambda offset, count: True,
+            "last record": lambda offset, count: offset <= bad < offset + count}[where]
+    with piece_bytes(1), cut_window(16), usable_cpus(cpus) as forks, \
+            wrapped_pread(failing_read(when)):
+        code = sb.cli.main(["ingest", "--aws-json", str(path)])
+    assert_no_child_left()
+    assert (code, capsys.readouterr().err) == (
+        2, f"error: cannot read {path}: [Errno 5] Input/output error\n")
+    assert len(forks) == (cpus - 1 if where == "last record" else 0)
+
+
+def test_a_read_that_fails_in_a_child_only_has_the_document_decoded_here():
+    parent = os.getpid()
+    raw = document(PIECED)
+    in_a_child = failing_read(lambda offset, count: os.getpid() != parent)
+    with piece_bytes(1), regular_file(raw) as file, wrapped_pread(in_a_child):
+        assert outcome(file, 3) == (serial(raw), 2, True)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_file_parse_holds_no_more_for_a_larger_document(cpus):
+    # Two documents keep the same 3,125 records; the larger one pads them
+    # with 37,500 records of a market the filter drops.  Read from a file,
+    # neither is ever held whole, so both peak alike: at 0.45 to 0.48 MB
+    # with 1 and 2 CPUs (Python 3.11.7).
+    kept = sb.TraceFilter(instance_type="g2.8xlarge", zone="us-east-1b")
+    records = [
+        _record(sb.format_timestamp(1577836800 - 60 * i), price=f"{0.3 + i % 97 / 50:.6f}",
+                instance=MARKETS[i % 4][0], zone=MARKETS[i % 4][1])
+        for i in range(12_500)
+    ]
+    dropped = [_record(sb.format_timestamp(1577836800 - 60 * i), instance="m3.medium")
+               for i in range(37_500)]
+    small, large = document(records), document(records + dropped)
+    assert 1_900_000 < len(small) < 2_200_000 and len(large) > 7_500_000
+    traces = []
+    for raw in (small, large):
+        with regular_file(raw) as file, usable_cpus(cpus, sb.trace.FORK_MIN_BYTES) as forks:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                traces.append(sb.parse_aws_json(file, kept))
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert_no_child_left()
+        assert len(forks) == cpus - 1
+        assert peak < 1_000_000, (len(raw), peak)
+    assert traces[0] == traces[1] and len(traces[0]) == 3_125
 
 
 def _split_result(raw, cpus=2):
@@ -561,12 +771,47 @@ def test_cli_forked_ingest_writes_the_serial_bytes(tmp_path):
     assert outputs[0].count(b"\n") == 2_001
 
 
+# Copies the file argv[1] to argv[2], a FIFO, whose open waits for a reader.
+COPY = "import shutil, sys; shutil.copyfileobj(open(sys.argv[1], 'rb'), open(sys.argv[2], 'wb'))"
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_cli_ingests_a_pipe_to_the_bytes_of_the_file(tmp_path, cpus):
+    # A pipe cannot be read at an offset: standard input and a FIFO are read
+    # whole, then decoded in shares from the bytes as a file is from disk.
+    records = [
+        _record(sb.format_timestamp(1577836800 - 60 * i), price=f"{0.3 + i % 97 / 50:.6f}",
+                instance=MARKETS[i % 4][0], zone=MARKETS[i % 4][1])
+        for i in range(8_000)
+    ]
+    doc = tmp_path / "history.json"
+    doc.write_bytes(document(records, layout="indented"))
+    assert os.path.getsize(doc) >= sb.trace.FORK_MIN_BYTES
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = subprocess.Popen([sys.executable, "-c", COPY, str(doc), str(fifo)])
+    outputs = []
+    try:
+        for source, stdin in ((doc, None), ("/dev/stdin", doc.read_text()), (fifo, None)):
+            out = tmp_path / f"ingest{len(outputs)}.csv"
+            proc = run_cli(cpus, ["ingest", "--aws-json", str(source), "--zone", "us-east-1b",
+                                  "--out", str(out)], input=stdin)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"[{cpus - 1}, false]\n", "")
+            outputs.append(out.read_bytes())
+        assert writer.wait(timeout=60) == 0
+    finally:
+        writer.kill()
+        writer.wait()
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0].count(b"\n") == 4_001
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS as Linux enforces it")
 def test_out_of_memory_during_a_forked_ingest_is_a_data_error(tmp_path):
     # Two records of five million two-letter strings each, about 10 bytes of
-    # heap per byte of input: the 62 MB document is read whole and split
-    # between them, and a piece holds a whole record, so each share
-    # outgrows the 200 MB limit.
+    # heap per byte of input: the 62 MB document is split between them, and
+    # a piece holds a whole record, so each share outgrows the 200 MB limit
+    # although the file is never read whole.
     records = [json.dumps(dict(_record("2020-01-01T00:00:00z"), Extra=["ab"] * count)).encode()
                for count in (5_500_000, 4_800_000)]
     doc = tmp_path / "history.json"

@@ -442,6 +442,24 @@ def test_to_csv_stamps_across_day_and_year_boundaries():
     assert sb.parse_csv(sb.to_csv(trace)) == trace
 
 
+def test_to_csv_holds_one_block_of_rows_beside_its_text():
+    # 25k rows in blocks, one stamp a minute across day boundaries: the same
+    # text as every row formatted at once, with a heap peak of about twice
+    # its length; formatting every row at once peaked at 6.4 times.
+    prices = tuple(0.3 + i % 997 / 1013 for i in range(25_000))
+    trace = make_trace(prices)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        text = sb.to_csv(trace)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    rows = map("{},{!r}".format, map(sb.format_timestamp, trace.stamps), prices)
+    assert text == "\n".join(["timestamp,price", *rows]) + "\n"
+    assert peak <= 3 * len(text)
+
+
 def test_csv_round_trip_years_before_1000():
     trace = sb.PriceTrace(
         (
