@@ -47,11 +47,12 @@ from .trace import (
     PriceTrace,
     SynthConfig,
     TraceFilter,
+    csv_blocks,
     format_timestamps,
     parse_aws_json,
     parse_csv,
     synth_step_hold,
-    to_csv,
+    to_csv,  # unused here; the traced benchmark run and tests reach it as cli.to_csv
     validate,
 )
 
@@ -633,7 +634,7 @@ def _build_specs(args: argparse.Namespace) -> list[StrategySpec]:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     trace = _load_trace(args)
     _log(_LOG_LEVELS["info"], "ingested %d points", len(trace))
-    _write_output(args.out, [to_csv(trace)])
+    _write_output(args.out, csv_blocks(trace))
     return 0
 
 
@@ -695,7 +696,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         step_scale=args.step_scale,
         seed=args.seed,
     )
-    _write_output(args.out, [to_csv(synth_step_hold(config))])
+    _write_output(args.out, csv_blocks(synth_step_hold(config)))
     return 0
 
 

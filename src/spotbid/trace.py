@@ -22,9 +22,10 @@ import os
 import re
 import stat
 from collections import namedtuple
+from collections.abc import Iterator
 from datetime import date, datetime, timezone
 from itertools import islice, repeat
-from operator import attrgetter, lt, sub
+from operator import attrgetter, gt, le, lt, sub
 
 from . import forking
 from .band_model import PriceBand
@@ -45,11 +46,13 @@ _TWO_DIGITS = tuple(f"{n:02d}" for n in range(60))
 # the row loop's at 16 KiB and 0.4 MB at 32 KiB.
 CSV_CHUNK_BYTES = 16 * 1024
 _BOM = b"\xef\xbb\xbf"
-# Rows to_csv formats at a time.  The 25k-point trace the AWS benchmark
-# keeps was written with a heap peak of 1.52 MB, twice its 0.74 MB of text,
-# against 5.59 MB with every row's text alive at once, in 11.4 against
-# 11.9 ms (tracemalloc; min of 15; 2-CPU Intel Xeon host, Python 3.11.7).
-_CSV_BLOCK_ROWS = 4096
+# Rows csv_blocks formats at a time.  `ingest` writes the 25k points the AWS
+# benchmark keeps block by block, and its peak RSS fell from 18.73 MB at
+# 4096 rows to 18.40, 18.28, 18.17 and 18.17 MB at 2048, 1024, 512 and
+# 256 (os.wait4, median of 7); the write's heap peak is about 175 bytes a
+# row, and every size wrote it in 11.5-12.1 ms (tracemalloc, min of 15;
+# 2-CPU Intel Xeon host, Python 3.11.7).
+_CSV_BLOCK_ROWS = 512
 # Every byte but "," and "\n": deleting them leaves a chunk's separators.
 _NOT_SEPARATORS = bytes(sorted(set(range(256)).difference(b",\n")))
 _TZINFO = attrgetter("tzinfo")
@@ -449,20 +452,27 @@ def _convert_chunk(chunk: bytes, stamps: list[int], prices: list[float]) -> bool
     return True
 
 
+def csv_blocks(trace: PriceTrace) -> Iterator[str]:
+    """to_csv's text in pieces: the header line, then _CSV_BLOCK_ROWS rows
+    at a time.  Only the block being yielded is alive: a writer that takes
+    each piece in turn holds one block's text beside the trace."""
+    stamps, prices = trace.stamps, trace.price_column
+    yield "timestamp,price\n"
+    for at in range(0, len(stamps), _CSV_BLOCK_ROWS):
+        rows = zip(format_timestamps(stamps[at:at + _CSV_BLOCK_ROWS]),
+                   prices[at:at + _CSV_BLOCK_ROWS])
+        yield "".join([f"{text},{price!r}\n" for text, price in rows])
+
+
 def to_csv(trace: PriceTrace) -> str:
-    """Serialize a trace to the canonical CSV form.
+    """Serialize a trace to the canonical CSV form, csv_blocks joined.
 
     Prices are written with repr so that parse(to_csv(trace)) recovers the
-    exact same doubles.  The text is built _CSV_BLOCK_ROWS rows at a time,
-    so only one block's stamp texts and lines are alive beside it.
+    exact same doubles.  The text is built a block at a time, so one
+    block's stamp texts and lines are alive beside the blocks so far; to
+    write the text, pass csv_blocks to the writer instead.
     """
-    stamps, prices = trace.stamps, trace.price_column
-    blocks = ["timestamp,price\n"]
-    for at in range(0, len(stamps), _CSV_BLOCK_ROWS):
-        texts = format_timestamps(stamps[at:at + _CSV_BLOCK_ROWS])
-        block = prices[at:at + _CSV_BLOCK_ROWS]
-        blocks.append("".join([f"{text},{price!r}\n" for text, price in zip(texts, block)]))
-    return "".join(blocks)
+    return "".join(csv_blocks(trace))
 
 
 def _common_label(values) -> str:
@@ -598,6 +608,13 @@ def parse_aws_json(
     hooked decode where it would fail the plain one, with the same message.
     An integer of more digits than int() converts is invalid JSON too:
     json.loads raises a plain ValueError.
+
+    AWS lists records newest first, so the kept stamps are checked before
+    any sort: strictly decreasing ones give the columns reversed, and
+    non-decreasing ones the columns as they stand, which is what the
+    stable sort would give; only other orders, equal stamps among
+    decreasing ones included, take an index sort.  Each column is freed as
+    soon as the trace's tuple of it is built.
     """
     check = _record_check(trace_filter)
     if not isinstance(raw, (bytes, str)) and not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
@@ -640,16 +657,25 @@ def parse_aws_json(
             raise DataError("expected an array of spot-price records")
         kept = filter(None, _check_declined(records, check))  # drops each _SKIPPED
         columns = list(zip(*kept)) or [()] * 5
-        del doc, records
+        del doc, records, kept
     stamps, prices, types, products, zones = columns
+    del columns
     if not stamps:
         raise DataError("zero records after filtering")
 
-    stamps, prices = list(stamps), list(prices)  # a list indexes faster than an array
-    order = sorted(range(len(stamps)), key=stamps.__getitem__)  # stable: ties keep input order
+    if all(map(gt, stamps, islice(stamps, 1, None))):  # newest first, as AWS lists them
+        column = lambda values: tuple(reversed(values))
+    elif all(map(le, stamps, islice(stamps, 1, None))):  # a stable sort moves nothing
+        column = tuple
+    else:
+        stamps = list(stamps)  # a list indexes faster than an array, and its ints go to the trace
+        order = sorted(range(len(stamps)), key=stamps.__getitem__)  # stable: ties keep input order
+        column = lambda values: tuple(map(values.__getitem__, order))
+    stamps = column(stamps)  # each column is freed as soon as its tuple exists
+    prices = column(prices)
     return PriceTrace(
-        tuple(map(stamps.__getitem__, order)),
-        tuple(map(prices.__getitem__, order)),
+        stamps,
+        prices,
         instance_type=trace_filter.instance_type or _common_label(types),
         product=trace_filter.product or _common_label(products),
         zone=trace_filter.zone or _common_label(zones),

@@ -7,9 +7,10 @@ process behind.  Each test fixes the number of usable CPUs by replacing
 os.sched_getaffinity, and most lower trace.FORK_MIN_BYTES to 1, so a small
 document is split as a large one is, on a host with any number of CPUs; the
 piece tests lower trace.AWS_PIECE_BYTES too, and the file tests
-trace._CUT_WINDOW_BYTES.  The reference is always the whole-document
-decode.
+trace._CUT_WINDOW_BYTES.  The reference is the whole-document decode, and
+for the order of the kept stamps also a stable index sort written here.
 """
+import contextlib
 import errno
 import json
 import marshal
@@ -462,7 +463,7 @@ def test_a_read_that_fails_in_a_child_only_has_the_document_decoded_here():
 def test_a_file_parse_holds_no_more_for_a_larger_document(cpus):
     # Two documents keep the same 3,125 records; the larger one pads them
     # with 37,500 records of a market the filter drops.  Read from a file,
-    # neither is ever held whole, so both peak alike: at 0.45 to 0.48 MB
+    # neither is ever held whole, so both peak alike: at 0.26 to 0.31 MB
     # with 1 and 2 CPUs (Python 3.11.7).
     kept = sb.TraceFilter(instance_type="g2.8xlarge", zone="us-east-1b")
     records = [
@@ -488,6 +489,122 @@ def test_a_file_parse_holds_no_more_for_a_larger_document(cpus):
         assert len(forks) == cpus - 1
         assert peak < 1_000_000, (len(raw), peak)
     assert traces[0] == traces[1] and len(traces[0]) == 3_125
+
+
+# ------------------------------------------------ the order of the kept stamps
+
+T0 = 1577836800
+KEEP = sb.TraceFilter(instance_type="g2.8xlarge", zone="us-east-1b")
+# The kept stamps in input order: orders a stable sort leaves as they are or
+# reverses exactly, and orders it must sort.
+ORDERS = {
+    "decreasing": [T0 - 60 * i for i in range(12)],
+    "increasing": [T0 + 60 * i for i in range(12)],
+    "one-record": [T0],
+    "ties-increasing": [T0, T0, T0 + 60, T0 + 120, T0 + 120, T0 + 180],
+    "all-tied": [T0] * 6,
+    "ties-decreasing": [T0 + 180, T0 + 120, T0 + 120, T0 + 60, T0, T0],
+    "one-out-of-order": [T0 - 60 * i for i in (0, 1, 2, 3, 4, 6, 5, 7, 8, 9, 10, 11)],
+}
+SORTED_ORDERS = {"decreasing", "increasing", "one-record", "ties-increasing", "all-tied"}
+# How the document is decoded: (usable CPUs, piece bytes or None for the
+# default, whether it is read from a regular file, whether the
+# whole-document decode is forced).
+WAYS = {
+    "whole-document": (1, None, False, True),
+    "pieces": (1, 1, False, False),
+    "shares": (2, None, False, False),
+    "shares-in-pieces": (3, 1, False, False),
+    "file-in-pieces": (1, 1, True, False),
+    "file-in-shares": (2, 1, True, False),
+}
+
+
+def ordered_document(stamps):
+    """Records of the kept market at stamps, each priced by its position so
+    that the order of ties shows, each followed by a record the filter
+    drops at a stamp that breaks any order."""
+    records = []
+    for i, stamp in enumerate(stamps):
+        records.append(_record(sb.format_timestamp(stamp), price=f"{i}.25"))
+        records.append(_record(sb.format_timestamp(T0 + (-1) ** i * 86400), instance="c4.xlarge"))
+    return document(records)
+
+
+def index_sorted(stamps):
+    """The trace of ordered_document(stamps), by a stable index sort."""
+    order = sorted(range(len(stamps)), key=stamps.__getitem__)
+    return sb.PriceTrace(tuple(stamps[i] for i in order), tuple(i + 0.25 for i in order),
+                         "g2.8xlarge", "Linux/UNIX", "us-east-1b")
+
+
+def parse_way(raw, way):
+    """parse_aws_json(raw) decoded the way WAYS names, and the number of
+    sorts it ran."""
+    cpus, size, in_file, whole = WAYS[way]
+    sorts = []
+
+    def counted_sorted(*args, **kwargs):
+        sorts.append(1)
+        return sorted(*args, **kwargs)
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(usable_cpus(cpus))
+        stack.enter_context(piece_bytes(size or sb.trace.AWS_PIECE_BYTES))
+        mp = stack.enter_context(pytest.MonkeyPatch.context())
+        mp.setattr(sb.trace, "sorted", counted_sorted, raising=False)
+        if whole:
+            mp.setattr(sb.trace, "_kept_in_shares", lambda read, size, check: None)
+        source = stack.enter_context(regular_file(raw)) if in_file else raw
+        trace = sb.parse_aws_json(source, KEEP)
+    assert_no_child_left()
+    return trace, len(sorts)
+
+
+@pytest.mark.parametrize("way", sorted(WAYS))
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_the_kept_order_gives_the_index_sort_trace(order, way):
+    stamps = ORDERS[order]
+    trace, sorts = parse_way(ordered_document(stamps), way)
+    assert trace == index_sorted(stamps)
+    assert type(trace.stamps) is tuple and type(trace.price_column) is tuple
+    assert sorts == (order not in SORTED_ORDERS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stamps=st.lists(st.sampled_from([T0 - 60, T0, T0 + 60]), min_size=1, max_size=12),
+    arrange=st.sampled_from(["input", "sorted", "reversed"]),
+    way=st.sampled_from(sorted(WAYS)),
+)
+def test_any_kept_order_gives_the_index_sort_trace(stamps, arrange, way):
+    if arrange != "input":
+        stamps = sorted(stamps, reverse=arrange == "reversed")
+    assert parse_way(ordered_document(stamps), way)[0] == index_sorted(stamps)
+
+
+@pytest.mark.parametrize("order", ["decreasing", "increasing"])
+def test_a_sorted_file_parse_peaks_near_its_trace(order):
+    # 20,000 kept records of 40,000, one CPU.  The index sort copied both
+    # columns into lists beside an index list, so the parse peaked at 1.97
+    # times the trace it kept; in order or reversed, the columns go straight
+    # to the trace's tuples, and it peaks at 1.11 (Python 3.11.7).
+    step = -60 if order == "decreasing" else 60
+    records = []
+    for i in range(20_000):
+        stamp = sb.format_timestamp(T0 + step * i)
+        records += [_record(stamp, price=f"{0.3 + i % 97 / 50:.6f}"),
+                    _record(stamp, instance="c4.xlarge")]
+    with regular_file(document(records)) as file, usable_cpus(1):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            trace = sb.parse_aws_json(file, KEEP)
+            kept, peak = (value - base for value in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+    assert len(trace) == 20_000
+    assert peak < 1.3 * kept, (kept, peak)
 
 
 def _split_result(raw, cpus=2):

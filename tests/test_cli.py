@@ -669,6 +669,131 @@ def test_full_stdout_is_a_data_error(argv):
     assert "Traceback" not in proc.stderr
 
 
+# ------------------------------------------- CSV written a block at a time
+
+BLOCK = sb.trace._CSV_BLOCK_ROWS
+KEEP_FLAGS = ["--instance-type", "g2.8xlarge", "--zone", "us-east-1b"]
+
+
+def aws_history(path, rows):
+    """Write to path an AWS document, newest first, of which KEEP_FLAGS
+    keep rows records: each is followed by one of another market."""
+    records = []
+    for i in range(rows):
+        stamp = sb.format_timestamp(1577836800 - 60 * i)
+        for instance in ("g2.8xlarge", "c4.xlarge"):
+            records.append({"Timestamp": stamp, "SpotPrice": f"{0.3 + i % 97 / 50:.6f}",
+                            "InstanceType": instance, "ProductDescription": "Linux/UNIX",
+                            "AvailabilityZone": "us-east-1b"})
+    path.write_text(json.dumps({"SpotPriceHistory": records}))
+    return str(path)
+
+
+def csv_argv(tmp_path, command, rows):
+    """An ingest or synth run that writes a CSV of rows rows."""
+    if command == "ingest":
+        return ["ingest", "--aws-json", aws_history(tmp_path / "history.json", rows), *KEEP_FLAGS]
+    return ["synth", *BAND_ARGS, "--points", str(rows)]
+
+
+@pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_ingest_streams_the_csv_of_its_trace(tmp_path, capsysbinary, rows):
+    doc = aws_history(tmp_path / "history.json", rows)
+    keep = sb.TraceFilter(instance_type="g2.8xlarge", zone="us-east-1b")
+    with open(doc, "rb") as file:
+        expected = sb.to_csv(sb.parse_aws_json(file.read(), keep))
+    assert expected.count("\n") == rows + 1
+    out = tmp_path / "out.csv"
+    assert run(["ingest", "--aws-json", doc, *KEEP_FLAGS, "--out", str(out)]) == 0
+    assert run(["ingest", "--aws-json", doc, *KEEP_FLAGS]) == 0
+    assert out.read_bytes() == capsysbinary.readouterr().out == expected.encode()
+
+
+@pytest.mark.parametrize("rows", [BLOCK - 1, BLOCK, BLOCK + 1])
+def test_synth_streams_the_csv_of_its_trace(tmp_path, capsysbinary, rows):
+    argv = ["synth", *BAND_ARGS, "--points", str(rows), "--hold-mean", "2", "--seed", "4"]
+    config = sb.SynthConfig(band=sb.PriceBand(floor=0.256, ceiling=2.6), n_points=rows,
+                            hold_steps_mean=2, seed=4)
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--out", str(out)]) == 0
+    assert run(argv) == 0
+    expected = sb.to_csv(sb.synth_step_hold(config)).encode()
+    assert out.read_bytes() == capsysbinary.readouterr().out == expected
+
+
+@pytest.mark.parametrize("command, loader", [("ingest", "validate"), ("synth", "synth_step_hold")])
+def test_the_csv_is_written_one_block_beside_its_trace(tmp_path, monkeypatch, command, loader):
+    # 25,000 rows, a text of 645 KB from ingest.  Above its level once the
+    # trace is built, ingest allocated 92 KB, about 7 blocks' text; with the
+    # text built whole before it was written, 1.33 MB (Python 3.11.7).
+    argv = csv_argv(tmp_path, command, 25_000)
+    out = tmp_path / "out.csv"
+    loaded = []
+    load = getattr(sb, loader)
+
+    def traced_load(*args):
+        trace = load(*args)
+        loaded.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return trace
+
+    monkeypatch.setattr(f"spotbid.cli.{loader}", traced_load)
+    tracemalloc.start()
+    try:
+        assert run([*argv, "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = out.read_text()
+    assert written.count("\n") == 25_001
+    block = max(map(len, sb.trace.csv_blocks(sb.parse_csv(written))))
+    assert peak - loaded[0] < 10 * block < len(written) / 4, (peak - loaded[0], block)
+
+
+def test_out_of_memory_while_writing_leaves_the_blocks_written(tmp_path, monkeypatch, capsys):
+    # The only output a run leaves behind on an error: --out holds the blocks
+    # written before it, as a backtest's report does.
+    def csv_blocks(trace):
+        yield "timestamp,price\n"
+        raise MemoryError
+
+    monkeypatch.setattr("spotbid.cli.csv_blocks", csv_blocks)
+    out = tmp_path / "out.csv"
+    assert run(["ingest", "--trace", TRACE, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: out of memory while running ingest\n"
+    assert out.read_text() == "timestamp,price\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["ingest", "synth"])
+def test_a_full_out_file_of_many_blocks_is_a_data_error(tmp_path, command):
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "spotbid.cli", *csv_argv(tmp_path, command, 20_000),
+         "--out", "/dev/full"],
+        capture_output=True, text=True, env=cli_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: cannot write /dev/full: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("command", ["ingest", "synth"])
+def test_a_reader_that_leaves_after_the_first_block_exits_zero(tmp_path, command):
+    # 20,000 rows, about 600 KB, more than a pipe holds.  The reader takes
+    # the header and the first block, then closes the pipe; a later block's
+    # write fails with EPIPE.
+    argv = csv_argv(tmp_path, command, 20_000)
+    with subprocess.Popen(
+        [sys.executable, "-X", "dev", "-m", "spotbid.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
+    ) as proc:
+        first = b"".join(proc.stdout.readline() for _ in range(BLOCK + 1))
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first.startswith(b"timestamp,price\n") and first.count(b"\n") == BLOCK + 1
+    assert (code, stderr) == (0, b"")
+
+
 @pytest.mark.parametrize(
     "argv, code, log",
     [

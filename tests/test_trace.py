@@ -460,6 +460,25 @@ def test_to_csv_holds_one_block_of_rows_beside_its_text():
     assert peak <= 3 * len(text)
 
 
+BLOCK = sb.trace._CSV_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_csv_blocks_are_to_csv_a_block_of_rows_at_a_time(rows):
+    trace = make_trace(0.25 + i / 7 for i in range(rows))
+    header, *blocks = sb.trace.csv_blocks(trace)
+    assert header == "timestamp,price\n"
+    full, rest = divmod(rows, BLOCK)
+    assert [block.count("\n") for block in blocks] == [BLOCK] * full + [rest] * (rest > 0)
+    assert all(block.endswith("\n") for block in blocks)
+    lines = map("{},{!r}\n".format, map(sb.format_timestamp, trace.stamps), trace.prices())
+    assert header + "".join(blocks) == sb.to_csv(trace) == header + "".join(lines)
+
+
+def test_csv_blocks_of_an_empty_trace_is_the_header():
+    assert list(sb.trace.csv_blocks(sb.PriceTrace((), ()))) == ["timestamp,price\n"]
+
+
 def test_csv_round_trip_years_before_1000():
     trace = sb.PriceTrace(
         (
