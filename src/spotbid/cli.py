@@ -21,9 +21,11 @@ import atexit
 import json
 import math
 import os
+import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
 
+from . import forking
 from .band_model import PriceBand
 from .controller import PiGains
 from .engine import (
@@ -98,7 +100,14 @@ def _float_list(text: str) -> tuple[float, ...]:
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, but a usage error in a process started with
     descriptor 2 closed writes nothing: there print_usage(sys.stderr)
-    would fall back to standard output, the command's data stream."""
+    would fall back to standard output, the command's data stream.  An
+    argument that starts with "-" and a digit or ".digit" (-0.05,0 or
+    -1e-3, which argparse takes for flags) is a value: no flag starts so."""
+
+    def _parse_optional(self, arg_string: str) -> object:
+        if re.match(r"-\.?\d", arg_string):
+            return None  # a value
+        return super()._parse_optional(arg_string)
 
     def error(self, message: str) -> None:
         if sys.stderr is None:
@@ -786,8 +795,7 @@ def run() -> None:
     exits through sys.exit, with the interpreter's own teardown.
     """
     code = main()
-    threading = sys.modules.get("threading")  # a process without it has one thread
-    if (threading is None or threading.active_count() == 1) and not _watched():
+    if forking.one_thread() and not _watched():
         try:
             atexit._run_exitfuncs()
             sys.stdout.flush()

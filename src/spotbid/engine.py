@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import groupby, product
+from collections.abc import Callable, Iterable, Sequence
+from itertools import groupby, product, starmap
 
 from . import forking, metrics
 from .band_model import PriceBand
@@ -191,12 +191,11 @@ def backtest_text(
     With enough work (see _score_split) the strategies are split into
     shares: this process runs one, a forked child each of the others, which
     sends back each strategy's success rate, distance and text.  A text is
-    held in pieces of at most _TEXT_PIECE_BYTES; one from a child stays the
-    bytes it sent until it is read, then is decoded a piece at a time.  A
-    strategy left without a result (its child could not start, died or
-    failed, or this process's share raised a DataError) runs again here,
-    in spec order, so the report and the first error are those of a serial
-    run.
+    held in pieces of at most _TEXT_PIECE_BYTES, and one from a child comes
+    back a piece at a time (see forking.run_shares).  A strategy left
+    without a result (its child could not start, died or failed, or this
+    process's share raised a DataError) runs again here, in spec order, so
+    the report and the first error are those of a serial run.
     """
     return _backtest(trace, specs, band, allow_positive_gains, config_echo, text)
 
@@ -297,9 +296,8 @@ def _score_split(
     joins the child share that costs least so far.  The cheapest are the
     statistics, which bid the trace's own price floats where feedback and
     the causal mean make a float per bid: this process holds every text at
-    the end, so it sets the run's peak memory.  A child sends its share's
-    texts, then three doubles per strategy: success rate, distance and the
-    text's length.
+    the end, so it sets the run's peak memory.  A child sends back, per
+    strategy, its success rate, distance and text pieces.
     """
     costs = [_point_cost_ns(spec, text is not None) * len(trace) for spec in specs]
     shares = min(len(specs), forking.share_count(sum(costs), FORK_MIN_BACKTEST_NS))
@@ -319,72 +317,29 @@ def _score_split(
         loads[k] += costs[i]
     parts = [part for part in parts if part]
 
-    def payload(part):  # run in a child
-        from array import array
-
-        out, table = bytearray(), array("d")
-        for i in part:
-            summary, pieces = _score_one(specs[i], trace, band, text)
-            start = len(out)
-            for piece in pieces:
-                out += piece.encode("ascii")
-            table.extend((summary.success_rate, summary.distance, len(out) - start))
-        out += table
-        return out
+    def scores(part):  # run in a child
+        return [
+            (summary.success_rate, summary.distance, pieces)
+            for summary, pieces in (_score_one(specs[i], trace, band, text) for i in part)
+        ]
 
     scored: list[tuple[metrics.MetricsSummary, Iterable[str]] | None] = [None] * len(specs)
     try:
-        first, payloads = forking.run_shares(
+        first, values = forking.run_shares(
             lambda: [_score_one(specs[i], trace, band, text) for i in parts[0]],
-            [lambda part=part: payload(part) for part in parts[1:]],
+            [lambda part=part: scores(part) for part in parts[1:]],
         )
     except DataError:
-        first, payloads = [], []  # every strategy runs again below
+        first, values = [], []  # every strategy runs again below
     for i, result in zip(parts[0], first):
         scored[i] = result
-    for part, data in zip(parts[1:], payloads):
-        for i, result in zip(part, _unpack(data, len(part))):
-            scored[i] = result
+    for part, share in zip(parts[1:], values):
+        for i, (success_rate, distance, pieces) in zip(part, share or ()):
+            scored[i] = metrics.MetricsSummary(success_rate, distance), pieces
     return [
         result or _score_one(spec, trace, band, text)
         for spec, result in zip(specs, scored)
     ]
-
-
-def _unpack(
-    data: bytes | None, count: int
-) -> list[tuple[metrics.MetricsSummary, Iterable[str]]]:
-    """A child's scores and text per strategy, or [] for a missing payload
-    or one of the wrong length."""
-    size = 24 * count  # three doubles a strategy
-    if data is None or len(data) < size:
-        return []
-    view = memoryview(data)
-    table = view[len(view) - size :].cast("d")
-    if sum(table[2::3]) != len(view) - size:
-        return []
-    start, unpacked = 0, []
-    for success_rate, distance, length in zip(table[::3], table[1::3], table[2::3]):
-        end = start + int(length)
-        text = _AsciiText(view[start:end])
-        unpacked.append((metrics.MetricsSummary(success_rate, distance), text))
-        start = end
-    return unpacked
-
-
-class _AsciiText:
-    """ASCII bytes, iterated as str pieces of at most _TEXT_PIECE_BYTES, so
-    the text a child sent is never held twice."""
-
-    __slots__ = ("view",)
-
-    def __init__(self, view: memoryview) -> None:
-        self.view = view
-
-    def __iter__(self) -> Iterator[str]:
-        view = self.view
-        for start in range(0, len(view), _TEXT_PIECE_BYTES):
-            yield str(view[start : start + _TEXT_PIECE_BYTES], "ascii")
 
 
 def _point_cost_ns(spec: StrategySpec, with_text: bool) -> int:
@@ -481,31 +436,28 @@ def _score_forked(
     shares: int,
 ) -> list[metrics.MetricsSummary]:
     """_score_cells over contiguous shares: this process scores the first,
-    a forked child each of the others, which sends (success_rate, distance)
-    per cell as doubles.
+    a forked child each of the others, which sends back (success_rate,
+    distance) per cell.
 
-    A child that cannot start, fails or sends the wrong number of bytes has
-    its share scored again here, which raises the serial DataError.  If the
-    first share raises, every child is killed.
+    A child that cannot start or fails has its share scored again here,
+    which raises the serial DataError.  If the first share raises, every
+    child is killed.
     """
-    from array import array  # loaded only by a sweep that forks
-
     bounds = [len(cells) * k // shares for k in range(shares + 1)]
     parts = [cells[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
-    def doubles(part):  # run in a child
-        return array("d", [x for m in _score_cells(part, trace, config) for x in m[:2]])
+    def scores(part):  # run in a child
+        return [summary[:2] for summary in _score_cells(part, trace, config)]
 
-    summaries, payloads = forking.run_shares(
+    summaries, values = forking.run_shares(
         lambda: _score_cells(parts[0], trace, config),
-        [lambda part=part: doubles(part) for part in parts[1:]],
+        [lambda part=part: scores(part) for part in parts[1:]],
     )
-    for part, payload in zip(parts[1:], payloads):
-        if payload is None or len(payload) != 16 * len(part):  # 2 doubles a cell
+    for part, share in zip(parts[1:], values):
+        if share is None:
             summaries += _score_cells(part, trace, config)
-            continue
-        values = array("d", payload)
-        summaries += map(metrics.MetricsSummary, values[::2], values[1::2])
+        else:
+            summaries += starmap(metrics.MetricsSummary, share)
     return summaries
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import marshal
 import math
 import os
 import re
@@ -742,11 +741,11 @@ def _kept_in_shares(read, size: int, check) -> list | None:
 
     Each share gives its record count, the index in the share and the dict
     of the first record the helpers reject (or None), and the columns of
-    its kept records; a child sends them as marshal bytes, which keep the
-    dicts, lists, tuples, strings and numbers of a record as they are, and
-    an array as its bytes.  This process checks a rejected record again
-    with its index in the whole document, once every share came back and
-    every earlier share is clean, so a DataError it raises is the whole
+    its kept records; a child's come back through forking.run_shares, which
+    keeps the dicts, lists, tuples, strings and numbers of a record as they
+    are, and an array as its bytes.  This process checks a rejected record
+    again with its index in the whole document, once every share came back
+    and every earlier share is clean, so a DataError it raises is the whole
     decode's.  Any doubt returns None: invalid JSON or UTF-8, nesting too
     deep, a document of one piece, a read that came back short (a file cut
     short during the parse), a child that died or a fork that failed.  A
@@ -773,15 +772,15 @@ def _kept_in_shares(read, size: int, check) -> list | None:
         if len(starts) == 1:
             parts = [_share_columns(read, 0, size, size, check, wrapped)]
         else:
-            first, payloads = forking.run_shares(
+            first, values = forking.run_shares(
                 lambda: _share_columns(read, 0, ends[0], size, check, wrapped),
-                [lambda s=s, e=e: marshal.dumps(_share_columns(read, s, e, size, check, wrapped))
+                [lambda s=s, e=e: _share_columns(read, s, e, size, check, wrapped)
                  for s, e in zip(starts[1:], ends[1:])],
             )
-            if None in payloads:
+            if None in values:
                 return None
-            parts = [first, *map(marshal.loads, payloads)]
-    except (ValueError, RecursionError, EOFError):  # marshal.loads(b"") raises EOFError
+            parts = [first, *values]
+    except (ValueError, RecursionError):
         return None
     offset = 0
     for count, bad, _ in parts:

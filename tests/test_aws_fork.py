@@ -774,14 +774,14 @@ def test_a_child_that_dies_has_its_share_decoded_here(death):
         if os.getpid() != parent:
             if death == "killed":
                 os.kill(os.getpid(), signal.SIGKILL)
-            os._exit(0)  # no bytes: marshal.loads cannot read them
+            os._exit(0)  # no bytes: marshal.load cannot read them
         return marshal.dumps(value)
 
     raw = document(CLEAN)
     expected = serial(raw)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sb.trace, "marshal", SimpleNamespace(dumps=dying_in_a_child,
-                                                        loads=marshal.loads))
+        mp.setattr(sb.forking, "marshal", SimpleNamespace(dumps=dying_in_a_child,
+                                                          load=marshal.load))
         assert outcome(raw, 3) == (expected, 2, True)
 
 

@@ -8,9 +8,13 @@ engine.FORK_MIN_BACKTEST_NS to 1, so that a short trace is split as a long
 one is.
 """
 import errno
+import marshal
+import math
 import os
 import signal
+import struct
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -296,6 +300,33 @@ def test_a_child_without_its_bytes_hands_back_none(death):
         os._exit(0)
 
     assert forking.run_shares(lambda: "here", [task, lambda: b"sent"]) == (
-        "here", [None, bytearray(b"sent")]
+        "here", [None, b"sent"]
     )
+    assert_no_child_left()
+
+
+def test_a_value_marshal_cannot_write_hands_back_none():
+    unwritable = lambda: sb.MetricsSummary(1.0, 2.0)  # a named tuple
+    assert forking.run_shares(lambda: "here", [unwritable, lambda: b"sent"]) == (
+        "here", [None, b"sent"]
+    )
+    assert_no_child_left()
+
+
+def test_a_value_cut_short_hands_back_none():
+    cut_short = lambda value: marshal.dumps(value)[:-3]  # run in the child
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forking, "marshal", SimpleNamespace(dumps=cut_short, load=marshal.load))
+        assert forking.run_shares(lambda: "here", [lambda: [(1.0, 2.0, ("text",))]]) == (
+            "here", [None]
+        )
+    assert_no_child_left()
+
+
+def test_floats_and_texts_come_back_bit_for_bit():
+    payload_nan = struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_0000_0001))[0]
+    sent = [(-0.0, 5e-324, ("a" * 70_000, "b")), (math.nan, payload_nan, ()), (1.0, 0.1, ("",))]
+    _, (back,) = forking.run_shares(lambda: None, [lambda: sent])
+    bits = lambda rows: [(struct.pack("<2d", x, y), pieces) for x, y, pieces in rows]
+    assert bits(back) == bits(sent)
     assert_no_child_left()

@@ -543,6 +543,27 @@ def test_backtest_out_file_matches_stdout(tmp_path, capsysbinary, fmt):
     assert capsysbinary.readouterr().out == out.read_bytes()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("sweep", "--pre-delta", "-0.05,0"),
+    ("sweep", "--post-delta", "-.01,0"),
+    ("backtest", "--pre-delta", "-1e-3"),
+])
+def test_a_negative_value_after_a_space_reads_as_its_equals_form(tmp_path, command, flag, value):
+    # argparse's own test reads only a plain negative number as a value.
+    outputs = []
+    for form in ([flag, value], [f"{flag}={value}"]):
+        out = tmp_path / "out"
+        assert run([command, "--trace", TRACE, *BAND_ARGS, *form, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["sweep", "backtest"])
+def test_a_negative_gain_after_a_space_is_rejected(capsys, command):
+    assert run([command, "--trace", TRACE, *BAND_ARGS, "--kp", "-1"]) == 1
+    assert "must be positive" in capsys.readouterr().err
+
+
 def test_parallel_flag_is_gone(capsys):
     # Every run is serial; the former --parallel knob is an unknown flag.
     for argv in (
