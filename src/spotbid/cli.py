@@ -562,8 +562,11 @@ def _to_stderr(text: str) -> None:
 
 
 def _write_output(path: str | None, pieces: Iterable[str]) -> None:
-    """Write the pieces in order to path, or to standard output."""
+    """Write the pieces in order to path, or to standard output.  A process
+    started with descriptor 1 closed has no sys.stdout, a data error."""
     if path is None or path == "-":
+        if sys.stdout is None:
+            raise DataError("cannot write standard output: it is closed")
         try:
             sys.stdout.writelines(pieces)
             sys.stdout.flush()  # a write error shows here, not at exit

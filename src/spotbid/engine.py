@@ -1,16 +1,17 @@
 """Backtest orchestration, gain/adjustment sweeps, and Pareto extraction.
 
 Every strategy (or sweep cell) replays independently against the identical
-trace, in the deterministic configured order.  A large sweep splits its
-cells, and a large backtest_text its strategies, across forked processes;
-the results are those of a serial run.
+trace, in the deterministic configured order.  A sweep's cells are
+feedback specs, split across forked processes as a large backtest_text's
+strategies are, by the one cost model in _score_split; the results are
+those of a serial run.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
-from itertools import groupby, product, starmap
+from itertools import groupby, product
 
 from . import forking, metrics
 from .band_model import PriceBand
@@ -29,21 +30,14 @@ from .trace import PriceTrace, format_timestamp, validate
 
 ENGINE_VERSION = "0.1.0"
 
-# A sweep forks when it has at least this many cell-steps (cells times trace
-# points).  A fork with its waitpid costs about 1.6 ms, and a feedback
-# cell-step about 0.35 us (2-CPU Intel Xeon host, Python 3.11.7), so a child
-# pays for itself from about 4.6k cell-steps.  Each share must hold half the
-# threshold, about twice that, so a sweep forks only for a clear gain.
-FORK_MIN_CELL_STEPS = 20_000
-
 # What replaying and scoring one trace point costs for each strategy kind,
 # and what writing its bid as report text adds, in ns (minimum of 7 runs on
 # the 25k-point benchmark trace, 2-CPU Intel Xeon host, Python 3.11.7).
-# backtest_text deals its strategies into shares by these costs.  A child
-# pays for itself from about 4 ms of them (the six strategies with bids
-# took 4.09 ms serial and 4.20 ms forked at 3.7 ms, 7.84 and 6.53 ms at
-# 7.3 ms, same host), so a backtest forks from FORK_MIN_BACKTEST_NS and
-# each share holds about half of it or more.
+# _score_split deals a backtest's strategies and a sweep's cells into shares
+# by these costs.  A child pays for itself from about 4 ms of them (the six
+# strategies with bids took 4.09 ms serial and 4.20 ms forked at 3.7 ms,
+# 7.84 and 6.53 ms at 7.3 ms, same host), so a job forks from FORK_MIN_NS
+# and each share holds about half of it or more.
 _POINT_COST_NS = {
     StrategyKind.FEEDBACK: (220, 230),
     StrategyKind.MINIMUM: (85, 50),
@@ -52,14 +46,15 @@ _POINT_COST_NS = {
     StrategyKind.CURRENT: (85, 230),
     StrategyKind.ONDEMAND: (50, 40),
 }
-FORK_MIN_BACKTEST_NS = 7_000_000
+FORK_MIN_NS = 7_000_000
 
 # Bounds on the work a request may ask for, checked before any of it is
 # allocated (tracemalloc, 2-CPU Intel Xeon host, Python 3.11.7):
 # - a sweep keeps about 630 bytes of Python heap per cell whatever the
 #   trace's length, so 250k cells hold about 160 MB;
-# - a cell-step costs about 0.35 us, so 10^10 cell-steps are about one
-#   CPU-hour;
+# - a cell-step over the 1001-point fixture costs about 0.35 us, more than
+#   _POINT_COST_NS's 220 ns on a trace whose prices mostly repeat, so 10^10
+#   cell-steps are about one CPU-hour;
 # - a backtest strategy keeps one bid per point until the report is written,
 #   32.7 bytes a point for a causal mean, so 64 strategies over 1M points
 #   hold about 2.1 GB; backtest_text keeps instead its bids' text, about
@@ -289,18 +284,24 @@ def _score_split(
 ) -> list[tuple[metrics.MetricsSummary, Iterable[str]]]:
     """_score_one for each spec, in spec order, in shares across processes.
 
-    A strategy's cost is its kind's per-point cost (_POINT_COST_NS) times
-    the trace's points.  With FORK_MIN_BACKTEST_NS or more in all (see
-    forking.share_count), this process takes the cheapest strategies up to
-    its fair share of the cost, and each other strategy, costliest first,
-    joins the child share that costs least so far.  The cheapest are the
-    statistics, which bid the trace's own price floats where feedback and
-    the causal mean make a float per bid: this process holds every text at
-    the end, so it sets the run's peak memory.  A child sends back, per
-    strategy, its success rate, distance and text pieces.
+    backtest_text's strategies and a sweep's cells both come here.  A
+    spec's cost is its kind's per-point cost (_POINT_COST_NS) times the
+    trace's points.  With FORK_MIN_NS or more in all (see
+    forking.share_count), this process takes the cheapest specs up to its
+    fair share of the cost, and each other spec, costliest first (the last
+    of equal costs first), joins the child share that costs least so far.
+    The cheapest strategies are the statistics, which bid the trace's own
+    price floats where feedback and the causal mean make a float per bid:
+    this process holds every text at the end, so it sets the run's peak
+    memory.  A sweep's cells cost the same, so this process takes the first
+    cells.  A child sends back, per spec, its success rate, distance and
+    text pieces.  A spec left without a result (its child could not start,
+    died or failed, or this process's share raised a DataError, which also
+    kills every child) runs again here, in spec order, so the results and
+    the first error are those of a serial run.
     """
     costs = [_point_cost_ns(spec, text is not None) * len(trace) for spec in specs]
-    shares = min(len(specs), forking.share_count(sum(costs), FORK_MIN_BACKTEST_NS))
+    shares = min(len(specs), forking.share_count(sum(costs), FORK_MIN_NS))
     if shares < 2:
         return [_score_one(spec, trace, band, text) for spec in specs]
 
@@ -360,9 +361,10 @@ def sweep(
     Cells are emitted sorted by (kp, ki, pre_delta, post_delta) of the
     applied values, deduplicated, with relative rationality computed over
     the whole sweep and Pareto membership marked.  ``parallel`` is kept for
-    callers that pass it and selects nothing.  The sweep chooses by itself:
-    it forks at FORK_MIN_CELL_STEPS or more (see forking.share_count), with
-    no more shares than cells.  Forked or not, the points and any DataError
+    callers that pass it and selects nothing.  Each cell is a feedback
+    spec, and _score_split scores them as backtest_text's strategies: from
+    FORK_MIN_NS of feedback cost on, in shares across forked processes, no
+    more shares than cells.  Forked or not, the points and any DataError
     (the first failing cell's, in cell order) are the serial ones.  A grid
     over MAX_SWEEP_CELLS cells or MAX_SWEEP_CELL_STEPS cell-steps is a
     UsageError, raised before any cell is built.
@@ -390,13 +392,15 @@ def sweep(
             )
         }
     )
-    shares = min(
-        len(cells), forking.share_count(len(cells) * len(trace), FORK_MIN_CELL_STEPS)
-    )
-    if shares > 1:
-        summaries = _score_forked(cells, trace, config, shares)
-    else:
-        summaries = _score_cells(cells, trace, config)
+    # Positional: keyword construction of the three records takes half as
+    # long again, about 1.5 us a cell.
+    specs = [
+        StrategySpec(StrategyKind.FEEDBACK, PiGains(kp, ki), Adjustments(pre, post),
+                     config.initial_bid)
+        for kp, ki, pre, post in cells
+    ]
+    summaries = [summary for summary, _ in _score_split(specs, trace, config.band, None)]
+    del specs  # about 225 bytes a cell, not held while the points are built
     rationality = metrics.relative_rationality(
         [
             (f"kp={kp},ki={ki},pre={pre},post={post}", summary.distance)
@@ -409,56 +413,6 @@ def sweep(
         SweepPoint(*cell, summary.success_rate, summary.distance, rr, flag)
         for cell, summary, (_, rr), flag in zip(cells, summaries, rationality, flags)
     ]
-
-
-def _score_cells(
-    cells: Sequence[tuple[float, float, float, float]],
-    trace: PriceTrace,
-    config: SweepConfig,
-) -> list[metrics.MetricsSummary]:
-    """The feedback strategy's scores at each cell, in cell order."""
-    summaries = []
-    for kp, ki, pre, post in cells:
-        spec = StrategySpec(
-            kind=StrategyKind.FEEDBACK,
-            gains=PiGains(kp=kp, ki=ki),
-            adjustments=Adjustments(pre_delta=pre, post_delta=post),
-            initial_bid=config.initial_bid,
-        )
-        summaries.append(metrics.score(run_strategy(spec, trace, config.band), trace))
-    return summaries
-
-
-def _score_forked(
-    cells: Sequence[tuple[float, float, float, float]],
-    trace: PriceTrace,
-    config: SweepConfig,
-    shares: int,
-) -> list[metrics.MetricsSummary]:
-    """_score_cells over contiguous shares: this process scores the first,
-    a forked child each of the others, which sends back (success_rate,
-    distance) per cell.
-
-    A child that cannot start or fails has its share scored again here,
-    which raises the serial DataError.  If the first share raises, every
-    child is killed.
-    """
-    bounds = [len(cells) * k // shares for k in range(shares + 1)]
-    parts = [cells[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-    def scores(part):  # run in a child
-        return [summary[:2] for summary in _score_cells(part, trace, config)]
-
-    summaries, values = forking.run_shares(
-        lambda: _score_cells(parts[0], trace, config),
-        [lambda part=part: scores(part) for part in parts[1:]],
-    )
-    for part, share in zip(parts[1:], values):
-        if share is None:
-            summaries += _score_cells(part, trace, config)
-        else:
-            summaries += starmap(metrics.MetricsSummary, share)
-    return summaries
 
 
 def pareto_flags(points: Sequence[tuple[float, float]]) -> list[bool]:

@@ -6,8 +6,13 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 import spotbid as sb
+
+# For tests/mutants.py (--hypothesis-profile=mutants): a failing example
+# need only be found there, not shrunk.
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -4,7 +4,7 @@ Forked or serial, the backtest command writes the same bytes, raises the
 same first error and leaves no child process behind.  Each test fixes the
 number of usable CPUs by replacing os.sched_getaffinity, so it runs the same
 on a host with any number of them.  The engine-level tests lower
-engine.FORK_MIN_BACKTEST_NS to 1, so that a short trace is split as a long
+engine.FORK_MIN_NS to 1, so that a short trace is split as a long
 one is.
 """
 import errno
@@ -49,7 +49,7 @@ def usable_cpus(n, fork_min=None):
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
         mp.setattr(os, "fork", counted_fork)
         if fork_min is not None:
-            mp.setattr(engine, "FORK_MIN_BACKTEST_NS", fork_min)
+            mp.setattr(engine, "FORK_MIN_NS", fork_min)
         yield forks
 
 
@@ -111,10 +111,21 @@ def test_any_number_of_cpus_writes_the_serial_bytes(tmp_path, long_trace, extra)
 
 
 def test_the_benchmark_backtest_forks_one_child_on_two_cpus(tmp_path, long_trace):
+    # This process keeps the four cheapest strategies; mean and feedback go
+    # to the child.
+    parent, run_strategy, here = os.getpid(), engine.run_strategy, []
+
+    def noted_here(spec, trace, band):
+        if os.getpid() == parent:
+            here.append(spec.kind.value)
+        return run_strategy(spec, trace, band)
+
     argv = ["backtest", "--trace", long_trace, *BAND_ARGS, "--include-bids"]
-    with usable_cpus(2) as forks:
+    with usable_cpus(2) as forks, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "run_strategy", noted_here)
         report_bytes(tmp_path, argv)
     assert len(forks) == 1
+    assert sorted(here) == ["current", "high", "minimum", "ondemand"]
     assert_no_child_left()
 
 

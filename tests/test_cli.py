@@ -661,6 +661,41 @@ def test_closed_stdout_exits_zero_quietly(argv):
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "--trace", TRACE],
+        ["synth", *BAND_ARGS, "--points", "5"],
+        ["sweep", "--trace", TRACE, *BAND_ARGS, "--kp", "1,10"],
+        ["backtest", "--trace", TRACE, *BAND_ARGS],
+    ],
+    ids=["ingest", "synth", "sweep", "backtest"],
+)
+def test_a_closed_stdout_descriptor_is_a_data_error(tmp_path, argv):
+    # A process started with descriptor 1 closed has no sys.stdout: a write
+    # to standard output exits 2 with one error line, and --out still works.
+    def cli(*flags):
+        return subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "spotbid.cli", *argv, *flags],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=cli_env(),
+            timeout=60, preexec_fn=lambda: os.close(1),
+        )
+
+    proc = cli()
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: cannot write standard output: it is closed\n"
+    )
+    out = tmp_path / "out"
+    proc = cli("--out", str(out))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    expected = subprocess.run(
+        [sys.executable, "-m", "spotbid.cli", *argv], capture_output=True, env=cli_env(),
+        timeout=60,
+    )
+    assert expected.returncode == 0
+    assert out.read_bytes() == expected.stdout
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize(
     "argv",
@@ -993,8 +1028,8 @@ def test_out_of_memory_is_a_data_error(argv, code, stderr):
 
 FUZZ_FLOATS = ["nan", "inf", "-inf", "-0.0", "0", "1e308", "5e-324", "", "x", "-1", "1", "10"]
 FUZZ_BAND = ["0.256", "2.6", "1", "nan", "inf", "-inf", "-0.0", "0", "1e308", "5e-324", ""]
-# At most 3 values each, so a sweep holds at most 81 cells of 50 steps, far
-# below engine.FORK_MIN_CELL_STEPS: the gate never forks.
+# At most 3 values each, so a sweep holds at most 81 cells of 50 steps, 0.9 ms
+# of feedback cost, far below engine.FORK_MIN_NS: the gate never forks.
 FUZZ_LISTS = FUZZ_FLOATS + ["1,,2", "1,1", "10,1,10", "0.5,1,2", ",", "nan,1", "1e308,1", "-0.0,0"]
 FUZZ_LABELS = ["c4.xlarge", "us-east-1b", "Linux/UNIX", "", "5"]
 FUZZ_STRATEGIES = [

@@ -179,12 +179,15 @@ def test_sweep_order_and_dedup(band):
 
 
 def test_sweep_cell_equals_direct_run(band, stephold_trace):
-    config = sb.SweepConfig(band=band, kp_magnitudes=(7.0,), ki_magnitudes=(3.0,))
-    point = sb.sweep(stephold_trace, config)[0]
-    spec = sb.StrategySpec(kind=sb.StrategyKind.FEEDBACK, gains=sb.PiGains(-7.0, -3.0))
-    series = sb.run_strategy(spec, stephold_trace, band)
-    assert point.success_rate == sb.success_rate(series, stephold_trace)
-    assert point.distance == sb.distance(series, stephold_trace)
+    for initial_bid in (None, 1.0):
+        config = sb.SweepConfig(band=band, kp_magnitudes=(7.0,), ki_magnitudes=(3.0,),
+                                initial_bid=initial_bid)
+        point = sb.sweep(stephold_trace, config)[0]
+        spec = sb.StrategySpec(kind=sb.StrategyKind.FEEDBACK, gains=sb.PiGains(-7.0, -3.0),
+                               initial_bid=initial_bid)
+        series = sb.run_strategy(spec, stephold_trace, band)
+        assert point.success_rate == sb.success_rate(series, stephold_trace)
+        assert point.distance == sb.distance(series, stephold_trace)
 
 
 def test_sweep_config_validation(band):

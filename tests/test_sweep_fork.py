@@ -3,7 +3,9 @@
 Forked or serial, it renders the same bytes, raises the same first
 DataError, and leaves no child process behind.  Each test fixes the number
 of usable CPUs by replacing os.sched_getaffinity, so it runs the same on a
-host with any number of them.
+host with any number of them.  The tests of fork counts and fallbacks set
+the fork threshold to FORK_MIN, the one their grids were chosen at; the
+others keep engine.FORK_MIN_NS.
 """
 import errno
 import json
@@ -30,11 +32,15 @@ BAND = sb.PriceBand(floor=0.256, ceiling=2.600)
 BAND_ARGS = ["--floor", "0.256", "--ceiling", "2.600"]
 GAINS = [0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0]
 README_GRID = ",".join(map(str, GAINS))
+# What a feedback cell-step costs the splitter, and 20,000 cell-steps of it.
+STEP_NS = engine._POINT_COST_NS[sb.StrategyKind.FEEDBACK][0]
+FORK_MIN = 20_000 * STEP_NS
 
 
 @contextmanager
-def usable_cpus(n):
-    """Report n usable CPUs to the sweep; yield the list of the pids it forks."""
+def usable_cpus(n, fork_min=None):
+    """Report n usable CPUs to the sweep, and fork from fork_min ns of work
+    if given; yield the list of the pids it forks."""
     forks = []
     fork = os.fork
 
@@ -46,6 +52,8 @@ def usable_cpus(n):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
         mp.setattr(os, "fork", counted_fork)
+        if fork_min is not None:
+            mp.setattr(engine, "FORK_MIN_NS", fork_min)
         yield forks
 
 
@@ -83,13 +91,14 @@ DELTAS = st.lists(st.sampled_from([-0.05, 0.0, 0.01, 0.02]), min_size=1, max_siz
 def test_forked_sweep_renders_the_serial_bytes(kp, ki, pre, post, cpus):
     config = sb.SweepConfig(BAND, kp, ki, pre, post)
     cells = len(set(kp)) * len(set(ki)) * len(set(pre)) * len(set(post))
-    assume(cells * len(STEPHOLD) >= engine.FORK_MIN_CELL_STEPS)
-    shares = min(cpus, cells, 2 * cells * len(STEPHOLD) // engine.FORK_MIN_CELL_STEPS)
+    work = cells * len(STEPHOLD) * STEP_NS
+    assume(work >= FORK_MIN)
+    shares = min(cpus, cells, 2 * work // FORK_MIN)
     # A large kp can leave the proportional band; then the DataError must match.
     with usable_cpus(1) as forks:
         serial = outcome(config)
     assert forks == []
-    with usable_cpus(cpus) as forks:
+    with usable_cpus(cpus, FORK_MIN) as forks:
         assert outcome(config) == serial
     assert len(forks) == shares - 1 >= 1
     assert_no_child_left()
@@ -99,11 +108,43 @@ def test_the_readme_grid_forks_one_child_per_extra_cpu():
     with usable_cpus(1):
         serial = renders(sb.sweep(STEPHOLD, readme_config()))
     for cpus in (2, 3, 64):
-        with usable_cpus(cpus) as forks:
+        with usable_cpus(cpus, FORK_MIN) as forks:
             assert renders(sb.sweep(STEPHOLD, readme_config())) == serial
         # 64 cells of 1001 steps make 6 shares of at least half the threshold.
         assert len(forks) == min(cpus, 6) - 1
         assert_no_child_left()
+
+
+@pytest.mark.parametrize("cells, forks", [(31, 0), (32, 1)])
+def test_the_real_threshold_forks_from_its_cell_steps(cells, forks):
+    # FORK_MIN_NS is 31,818.2 feedback cell-steps of cost: 31 cells of 1001
+    # steps stay below it, 32 reach it.
+    assert 31 * len(STEPHOLD) * STEP_NS < engine.FORK_MIN_NS <= 32 * len(STEPHOLD) * STEP_NS
+    config = sb.SweepConfig(BAND, (10.0,), (10.0,), [i / 1000 for i in range(cells)])
+    with usable_cpus(1):
+        serial = renders(sb.sweep(STEPHOLD, config))
+    with usable_cpus(2) as forks_made:
+        assert renders(sb.sweep(STEPHOLD, config)) == serial
+    assert len(forks_made) == forks
+    assert_no_child_left()
+
+
+def test_two_cpus_score_the_first_half_of_the_readme_grid_here():
+    # Every cell costs the same, so this process takes cells 0-31 and the
+    # one child cells 32-63, whatever order the child runs them in.
+    parent, run_strategy, here = os.getpid(), engine.run_strategy, []
+
+    def noted_here(spec, trace, band):
+        if os.getpid() == parent:
+            here.append(spec.gains)
+        return run_strategy(spec, trace, band)
+
+    with usable_cpus(2) as forks, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "run_strategy", noted_here)
+        points = sb.sweep(STEPHOLD, readme_config())
+    assert len(forks) == 1
+    assert here == [(p.kp, p.ki) for p in points[:32]]
+    assert_no_child_left()
 
 
 def _message_of(pre):
@@ -114,12 +155,16 @@ def _message_of(pre):
 
 
 # One gain pair and 22 to 30 pre-deltas, in cell order.  A pre-delta of 3 or
-# more puts the first error outside the proportional band.  (cpus, the
-# pre-deltas, the first failing one):
-#   - two shares of 11 cells; only the child's last cell fails;
+# more puts the first error outside the proportional band.  This process
+# scores the first cells, and the children the rest, dealt last cell first
+# to the child share with the fewest so far.  (cpus, the pre-deltas, the
+# first failing one):
+#   - two shares of 11 cells; only the child's last cell fails, the first
+#     it runs;
 #   - two shares; the first cell (this process's share) and the last fail;
-#   - three shares of 10 cells; the last 5 of the middle share fail, and
-#     every cell of the last share.
+#   - three shares of 10 cells; cells 10 to 29 are dealt in turn from the
+#     last, so the first child holds the odd ones and the second the even
+#     ones, and in each every cell from 15 on fails.
 FAILING_GRIDS = [
     (2, [i / 100 for i in range(21)] + [5.0], 5.0),
     (2, [-5.0] + [i / 100 for i in range(20)] + [5.0], -5.0),
@@ -130,7 +175,7 @@ FAILING_GRIDS = [
 @pytest.mark.parametrize("cpus, pre, first", FAILING_GRIDS)
 def test_a_data_error_in_any_share_is_the_first_serial_one(cpus, pre, first):
     config = sb.SweepConfig(BAND, (10.0,), (10.0,), pre)
-    with usable_cpus(cpus) as forks, pytest.raises(sb.DataError) as info:
+    with usable_cpus(cpus, FORK_MIN) as forks, pytest.raises(sb.DataError) as info:
         sb.sweep(STEPHOLD, config)
     assert len(forks) == cpus - 1
     assert str(info.value) == _message_of(first)
@@ -149,7 +194,7 @@ def test_a_failing_first_share_ends_the_children_at_once():
         return run_strategy(spec, trace, band)
 
     config = sb.SweepConfig(BAND, (10.0,), (10.0,), [-5.0] + [i / 100 for i in range(21)])
-    with usable_cpus(2) as forks, pytest.MonkeyPatch.context() as mp:
+    with usable_cpus(2, FORK_MIN) as forks, pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "run_strategy", slow_first_call_in_a_child)
         start = time.monotonic()
         with pytest.raises(sb.DataError) as info:
@@ -161,13 +206,16 @@ def test_a_failing_first_share_ends_the_children_at_once():
     assert_no_child_left()
 
 
-# The CLI in a process of its own, with the usable CPUs fixed; after the
-# run it prints the number of forks and whether a child was left to reap.
+# The CLI in a process of its own, with the usable CPUs and the fork
+# threshold fixed; after the run it prints the number of forks and whether
+# a child was left to reap.
 CLI_WITH_CPUS = """\
 import json, os, sys
+from spotbid import engine
 from spotbid.cli import main
-cpus, argv = json.loads(sys.argv[1])
+cpus, fork_min, argv = json.loads(sys.argv[1])
 os.sched_getaffinity = lambda pid: set(range(cpus))
+engine.FORK_MIN_NS = fork_min
 forks, fork = [], os.fork
 def counted_fork():
     pid = fork()
@@ -187,7 +235,7 @@ sys.exit(code)
 
 def run_cli(cpus, argv):
     return subprocess.run(
-        [sys.executable, "-c", CLI_WITH_CPUS, json.dumps([cpus, argv])],
+        [sys.executable, "-c", CLI_WITH_CPUS, json.dumps([cpus, FORK_MIN, argv])],
         capture_output=True, text=True, env=cli_env(), timeout=60,
     )
 
@@ -232,7 +280,7 @@ def test_a_child_that_dies_has_its_share_scored_here(death):
 
     with usable_cpus(1):
         serial = renders(sb.sweep(STEPHOLD, readme_config(post_deltas=(0.0, 0.01))))
-    with usable_cpus(3) as forks, pytest.MonkeyPatch.context() as mp:
+    with usable_cpus(3, FORK_MIN) as forks, pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "run_strategy", dying_in_a_child)
         points = sb.sweep(STEPHOLD, readme_config(post_deltas=(0.0, 0.01)))
     assert len(forks) == 2
@@ -246,7 +294,7 @@ def test_a_fork_that_fails_scores_its_share_here():
 
     with usable_cpus(1):
         serial = renders(sb.sweep(STEPHOLD, readme_config()))
-    with usable_cpus(2), pytest.MonkeyPatch.context() as mp:
+    with usable_cpus(2, FORK_MIN), pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "fork", no_fork)
         assert renders(sb.sweep(STEPHOLD, readme_config())) == serial
 
