@@ -69,8 +69,11 @@ _ALL_STRATEGIES = ",".join(kind.value for kind in StrategyKind)
 # write byte-identical reports.
 _NOT_ECHOED = frozenset(("command", "handler", "out", "format", "plot_dir"))
 
-# Bids the report writer formats at a time: a few MB of text at any length.
-_BIDS_PER_PIECE = 65_536
+# Bids the report writer formats at a time, so that a piece of a bids array
+# at depth 3 holds at most 65,536 characters: a bid and its separator take at
+# most 34 ("-1.2345678901234567e+300", then ",\n" and 8 spaces).  A kept text
+# is held, and crosses a fork's pipe, in these pieces.
+_BIDS_PER_PIECE = 1_927
 
 
 def _finite_float(text: str) -> float:
@@ -790,7 +793,8 @@ def run() -> None:
     atexit callback runs (logging's shutdown, say, or a hook a site file
     registered), and both standard streams are flushed, standard error
     through _to_stderr, so that a usage or log line it could not write
-    does not change the exit code.  Nothing else is left open when main
+    does not change the exit code; a stream whose descriptor was closed at
+    start is None and is skipped.  Nothing else is left open when main
     returns: each output file is closed by its with block, and every
     forked child is reaped.  When a second thread runs, when a tool that
     runs this module and has code of its own to run after it watches the
@@ -801,7 +805,8 @@ def run() -> None:
     if forking.one_thread() and not _watched():
         try:
             atexit._run_exitfuncs()
-            sys.stdout.flush()
+            if sys.stdout is not None:  # None when descriptor 1 was closed
+                sys.stdout.flush()
             _to_stderr("")  # also what argparse or logging could not write
         except Exception:
             pass

@@ -166,7 +166,7 @@ def backtest(
     the same run for a caller that needs less of each series, and it may
     split the strategies across forked processes.
     """
-    return _backtest(trace, specs, band, allow_positive_gains, config_echo, _SERIES)
+    return _backtest(trace, specs, band, allow_positive_gains, config_echo, tuple)
 
 
 def backtest_text(
@@ -180,27 +180,19 @@ def backtest_text(
 ) -> BacktestReport:
     """backtest's report, keeping of each series only text(bids), an
     ASCII text in pieces, or nothing when text is None.  Each result's
-    series.bids holds that text as an iterable of its pieces.  No bid tuple
-    outlives the text made of it.
+    series.bids holds that text as a tuple of its pieces, as text cut it.
+    No bid tuple outlives the text made of it.
 
     With enough work (see _score_split) the strategies are split into
     shares: this process runs one, a forked child each of the others, which
-    sends back each strategy's success rate, distance and text.  A text is
-    held in pieces of at most _TEXT_PIECE_BYTES, and one from a child comes
-    back a piece at a time (see forking.run_shares).  A strategy left
-    without a result (its child could not start, died or failed, or this
-    process's share raised a DataError) runs again here, in spec order, so
-    the report and the first error are those of a serial run.
+    sends back each strategy's success rate, distance and text.  A text
+    from a child comes back a piece at a time (see forking.run_shares).  A
+    strategy left without a result (its child could not start, died or
+    failed, or this process's share raised a DataError) runs again here,
+    in spec order, so the report and the first error are those of a serial
+    run.
     """
     return _backtest(trace, specs, band, allow_positive_gains, config_echo, text)
-
-
-# backtest's keep: each result keeps its whole series.
-_SERIES = object()
-
-# The most characters of a kept text in one piece: writing a piece copies
-# it, so the report's write never holds a large text twice.
-_TEXT_PIECE_BYTES = 65_536
 
 
 def _backtest(
@@ -211,7 +203,8 @@ def _backtest(
     config_echo: dict[str, object] | None,
     keep: object,
 ) -> BacktestReport:
-    """backtest (keep _SERIES) and backtest_text (keep its text function)."""
+    """backtest (keep tuple: every bid, in this process) and backtest_text
+    (keep its text function)."""
     validate(trace)
     if not specs:
         raise UsageError("at least one strategy is required")
@@ -222,21 +215,22 @@ def _backtest(
     for spec in specs:
         validate_spec(spec, band, require_negative_gains=not allow_positive_gains)
 
-    if keep is _SERIES:
-        scored = [_score_one(spec, trace, band, keep) for spec in specs]
+    if keep is tuple:
+        rows = [_score_one(spec, trace, band, keep) for spec in specs]
     else:
-        scored = _score_split(specs, trace, band, keep)
+        rows = _score_split(specs, trace, band, keep)
     names = _unique_names([spec.kind.value for spec in specs])
     rationality = metrics.relative_rationality(
-        [(name, summary.distance) for name, (summary, _) in zip(names, scored)]
+        [(name, distance) for name, (_, distance, _) in zip(names, rows)]
     )
     results = tuple(
         StrategyResult(
             name=name,
             series=BidSeries(strategy_name=name, bids=kept, spec=spec),
-            metrics=summary._replace(relative_rationality=rr),
+            metrics=metrics.MetricsSummary(success_rate, distance, rr),
         )
-        for name, spec, (summary, kept), (_, rr) in zip(names, specs, scored, rationality)
+        for name, spec, (success_rate, distance, kept), (_, rr)
+        in zip(names, specs, rows, rationality)
     )
     warnings = ()
     if allow_positive_gains and any(
@@ -258,22 +252,18 @@ def _backtest(
 
 
 def _score_one(
-    spec: StrategySpec, trace: PriceTrace, band: PriceBand, keep: object
-) -> tuple[metrics.MetricsSummary, object]:
-    """One strategy's scores and what its result keeps: its bids for
-    _SERIES, else the pieces of keep(bids), cut to _TEXT_PIECE_BYTES, none
-    for None."""
+    spec: StrategySpec,
+    trace: PriceTrace,
+    band: PriceBand,
+    keep: Callable[[tuple[float, ...]], Iterable[object]] | None,
+) -> tuple[float, float, tuple]:
+    """One strategy's row, (success_rate, distance, kept), the same in
+    every process: kept is tuple(keep(bids)), or () when keep is None.
+    With keep tuple, kept is the bid tuple itself, not a copy."""
     series = run_strategy(spec, trace, band)
     summary = metrics.score(series, trace)
-    if keep is _SERIES:
-        return summary, series.bids
-    if keep is None:
-        return summary, ()
-    return summary, tuple(
-        piece[start : start + _TEXT_PIECE_BYTES]
-        for piece in keep(series.bids)
-        for start in range(0, len(piece), _TEXT_PIECE_BYTES)
-    )
+    kept = () if keep is None else tuple(keep(series.bids))
+    return summary.success_rate, summary.distance, kept
 
 
 def _score_split(
@@ -281,8 +271,9 @@ def _score_split(
     trace: PriceTrace,
     band: PriceBand,
     text: Callable[[tuple[float, ...]], Iterable[str]] | None,
-) -> list[tuple[metrics.MetricsSummary, Iterable[str]]]:
-    """_score_one for each spec, in spec order, in shares across processes.
+) -> list[tuple[float, float, tuple]]:
+    """_score_one's row for each spec, in spec order, in shares across
+    processes.
 
     backtest_text's strategies and a sweep's cells both come here.  A
     spec's cost is its kind's per-point cost (_POINT_COST_NS) times the
@@ -294,11 +285,12 @@ def _score_split(
     price floats where feedback and the causal mean make a float per bid:
     this process holds every text at the end, so it sets the run's peak
     memory.  A sweep's cells cost the same, so this process takes the first
-    cells.  A child sends back, per spec, its success rate, distance and
-    text pieces.  A spec left without a result (its child could not start,
-    died or failed, or this process's share raised a DataError, which also
-    kills every child) runs again here, in spec order, so the results and
-    the first error are those of a serial run.
+    cells.  Every share, this process's too, gives the rows of its specs
+    in its order, through one forking.run_shares call.  A spec left without
+    a row (its child could not start, died or failed, or this process's
+    share raised a DataError, which also kills every child) runs again
+    here, in spec order, so the rows and the first error are those of a
+    serial run.
     """
     costs = [_point_cost_ns(spec, text is not None) * len(trace) for spec in specs]
     shares = min(len(specs), forking.share_count(sum(costs), FORK_MIN_NS))
@@ -318,29 +310,18 @@ def _score_split(
         loads[k] += costs[i]
     parts = [part for part in parts if part]
 
-    def scores(part):  # run in a child
-        return [
-            (summary.success_rate, summary.distance, pieces)
-            for summary, pieces in (_score_one(specs[i], trace, band, text) for i in part)
-        ]
+    def scores(part):
+        return [_score_one(specs[i], trace, band, text) for i in part]
 
-    scored: list[tuple[metrics.MetricsSummary, Iterable[str]] | None] = [None] * len(specs)
+    rows: list[tuple[float, float, tuple] | None] = [None] * len(specs)
     try:
-        first, values = forking.run_shares(
-            lambda: [_score_one(specs[i], trace, band, text) for i in parts[0]],
-            [lambda part=part: scores(part) for part in parts[1:]],
-        )
+        shares_rows = forking.run_shares([lambda part=part: scores(part) for part in parts])
     except DataError:
-        first, values = [], []  # every strategy runs again below
-    for i, result in zip(parts[0], first):
-        scored[i] = result
-    for part, share in zip(parts[1:], values):
-        for i, (success_rate, distance, pieces) in zip(part, share or ()):
-            scored[i] = metrics.MetricsSummary(success_rate, distance), pieces
-    return [
-        result or _score_one(spec, trace, band, text)
-        for spec, result in zip(specs, scored)
-    ]
+        shares_rows = []  # every spec runs again below
+    for part, share in zip(parts, shares_rows):
+        for i, row in zip(part, share or ()):
+            rows[i] = row
+    return [row or _score_one(spec, trace, band, text) for spec, row in zip(specs, rows)]
 
 
 def _point_cost_ns(spec: StrategySpec, with_text: bool) -> int:
@@ -399,24 +380,26 @@ def sweep(
                      config.initial_bid)
         for kp, ki, pre, post in cells
     ]
-    summaries = [summary for summary, _ in _score_split(specs, trace, config.band, None)]
+    rows = _score_split(specs, trace, config.band, None)
     del specs  # about 225 bytes a cell, not held while the points are built
     rationality = metrics.relative_rationality(
         [
-            (f"kp={kp},ki={ki},pre={pre},post={post}", summary.distance)
-            for (kp, ki, pre, post), summary in zip(cells, summaries)
+            (f"kp={kp},ki={ki},pre={pre},post={post}", distance)
+            for (kp, ki, pre, post), (_, distance, _) in zip(cells, rows)
         ]
     )
-    flags = pareto_flags([(m.success_rate, m.distance) for m in summaries])
+    flags = pareto_flags(rows)  # a row opens with (success_rate, distance)
     # A cell is (kp, ki, pre_delta, post_delta), SweepPoint's first fields.
     return [
-        SweepPoint(*cell, summary.success_rate, summary.distance, rr, flag)
-        for cell, summary, (_, rr), flag in zip(cells, summaries, rationality, flags)
+        SweepPoint(*cell, success_rate, distance, rr, flag)
+        for cell, (success_rate, distance, _), (_, rr), flag
+        in zip(cells, rows, rationality, flags)
     ]
 
 
 def pareto_flags(points: Sequence[tuple[float, float]]) -> list[bool]:
-    """Non-domination flags for (success_rate, distance) pairs.
+    """Non-domination flags for (success_rate, distance) pairs (or rows
+    that open with them, as _score_split's do).
 
     Point i is dominated when some j has sr_j >= sr_i and d_j <= d_i with at
     least one strict inequality; duplicates of a frontier point are all

@@ -9,8 +9,8 @@ never holds the data whole.  marshal reads only what this process's own fork
 wrote, through a pipe no other process holds.  A child ends in os._exit,
 so it never returns into the caller, runs no exit handler and flushes no
 stdio buffer it shares with this process.  The caller decides what a
-missing result means; every caller redoes that share here, so any error is
-the serial one.
+missing result (None) means; every caller redoes that share here, so any
+error is the serial one.
 """
 from __future__ import annotations
 
@@ -44,30 +44,30 @@ def share_count(work: int, fork_min: int) -> int:
     return min(most, len(os.sched_getaffinity(0)))
 
 
-def run_shares(
-    first: Callable[[], object], others: Sequence[Callable[[], object]]
-) -> tuple[object, list[object]]:
-    """(first(), values), where first runs here and each of others in a
-    forked child.
+def run_shares(tasks: Sequence[Callable[[], object]]) -> list[object]:
+    """[task() for task in tasks], where tasks[0] runs here and each other
+    task in a forked child.
 
-    Each of others returns a value marshal can write (an array comes back
+    A child's task returns a value marshal can write (an array comes back
     as its bytes, a named tuple not at all), but not None, which stands for
-    no result.  values[k] is an equal copy of what others[k] returned,
-    floats bit for bit, or None if its child could not start, raised, was
-    killed or exited before it sent the value whole.  If first() raises, or
-    reading a pipe does, every child not yet reaped is killed.  Every child
-    is reaped before this returns or raises.
+    no result.  Its entry is an equal copy of that value, floats bit for
+    bit, or None if its child could not start, raised, was killed or exited
+    before it sent the value whole.  If tasks[0] raises, or reading a pipe
+    does, every child not yet reaped is killed.  Every child is reaped
+    before this returns or raises.  One task forks nothing.
     """
-    # Imported before any child exists: after a MemoryError the import
-    # could fail and leave a child running.  Loaded only by a job that forks.
-    from signal import SIGKILL
+    if len(tasks) > 1:
+        # Imported before any child exists: after a MemoryError the import
+        # could fail and leave a child running.  Loaded only by a job that
+        # forks.
+        from signal import SIGKILL
 
     children: list[Child | None] = []
-    values: list[object] = []
+    values: list[object] = []  # of the children reaped so far
     try:
-        for task in others:
+        for task in tasks[1:]:
             children.append(_fork(task))
-        result = first()
+        first = tasks[0]()
         for child in children:
             values.append(_reap(child))
     except BaseException:
@@ -77,7 +77,7 @@ def run_shares(
             pipe.close()
             os.waitpid(pid, 0)
         raise
-    return result, values
+    return [first, *values]
 
 
 def _fork(task: Callable[[], object]) -> Child | None:

@@ -723,11 +723,12 @@ def _kept_in_shares(read, size: int, check) -> list | None:
     Only a document that opens as an array or as {"SpotPriceHistory": [
     (_AWS_OPENER, within its first _HEAD_BYTES) is cut.  From FORK_MIN_BYTES
     on it is split in one share per usable CPU, each cut at the first "," +
-    whitespace + "{" at or past an even split point (_next_cut); this
-    process decodes the first share and a forked child each of the others.
-    Each share reads its own bytes and is decoded a piece at a time by
-    _share_columns, the pieces cut the same way, with check as the hook, as
-    the whole-document decode is.
+    whitespace + "{" at or past an even split point (_next_cut).  Every
+    share goes through one forking.run_shares call: this process decodes
+    the first, a forked child each of the others, and a single share forks
+    nothing.  Each share reads its own bytes and is decoded a piece at a
+    time by _share_columns, the pieces cut the same way, with check as the
+    hook, as the whole-document decode is.
 
     A cut is trusted because every piece decodes to a nonempty array (the
     document's first, from the opener on, to an array or to an object with
@@ -741,7 +742,7 @@ def _kept_in_shares(read, size: int, check) -> list | None:
 
     Each share gives its record count, the index in the share and the dict
     of the first record the helpers reject (or None), and the columns of
-    its kept records; a child's come back through forking.run_shares, which
+    its kept records; a child's come back through the pipe, which
     keeps the dicts, lists, tuples, strings and numbers of a record as they
     are, and an array as its bytes.  This process checks a rejected record
     again with its index in the whole document, once every share came back
@@ -769,18 +770,13 @@ def _kept_in_shares(read, size: int, check) -> list | None:
     ends.append(size)
     wrapped = opener.group(1) is not None
     try:
-        if len(starts) == 1:
-            parts = [_share_columns(read, 0, size, size, check, wrapped)]
-        else:
-            first, values = forking.run_shares(
-                lambda: _share_columns(read, 0, ends[0], size, check, wrapped),
-                [lambda s=s, e=e: _share_columns(read, s, e, size, check, wrapped)
-                 for s, e in zip(starts[1:], ends[1:])],
-            )
-            if None in values:
-                return None
-            parts = [first, *values]
+        parts = forking.run_shares(
+            [lambda s=s, e=e: _share_columns(read, s, e, size, check, wrapped)
+             for s, e in zip(starts, ends)]
+        )
     except (ValueError, RecursionError):
+        return None
+    if None in parts:  # a child's share is in doubt
         return None
     offset = 0
     for count, bad, _ in parts:

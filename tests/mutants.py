@@ -35,11 +35,15 @@ ROOT = Path(__file__).resolve().parent.parent
 Mutant = namedtuple("Mutant", "name file old new test")
 
 ENGINE = "src/spotbid/engine.py"
+FORKING = "src/spotbid/forking.py"
+TRACE = "src/spotbid/trace.py"
 SWEEP_TESTS = "tests/test_sweep_fork.py"
 BACKTEST_TESTS = "tests/test_backtest_fork.py"
+AWS_TESTS = "tests/test_aws_fork.py"
 
 # engine._score_split, which deals a backtest's strategies and a sweep's
-# cells into shares, and the sweep's specs.
+# cells into shares, and the sweep's specs; forking.run_shares, through
+# which every share runs; and trace._kept_in_shares, its AWS decode caller.
 MUTANTS = [
     Mutant(
         "split: each spec joins the most loaded child share", ENGINE,
@@ -55,14 +59,14 @@ MUTANTS = [
     ),
     Mutant(
         "split: a DataError here is raised without the serial rerun", ENGINE,
-        "    except DataError:\n        first, values = [], []",
+        "    except DataError:\n        shares_rows = []",
         "    except DataError:\n        raise",
         BACKTEST_TESTS,
     ),
     Mutant(
         "split: a missing result is not redone", ENGINE,
-        "        result or _score_one(spec, trace, band, text)\n",
-        "        result\n",
+        "[row or _score_one(spec, trace, band, text) for spec, row in",
+        "[row for spec, row in",
         SWEEP_TESTS,
     ),
     Mutant(
@@ -76,6 +80,30 @@ MUTANTS = [
         "while load + costs[order[own]] <= fair:",
         "while load + costs[order[own]] < fair:",
         SWEEP_TESTS,
+    ),
+    Mutant(
+        "split: only this process's rows are placed", ENGINE,
+        "for part, share in zip(parts, shares_rows):",
+        "for part, share in zip(parts[:1], shares_rows):",
+        BACKTEST_TESTS,
+    ),
+    Mutant(
+        "split: a row keeps keep(bids) itself, not its tuple", ENGINE,
+        "kept = () if keep is None else tuple(keep(series.bids))",
+        "kept = () if keep is None else keep(series.bids)",
+        BACKTEST_TESTS,
+    ),
+    Mutant(
+        "shares: the first child not yet reaped is left running", FORKING,
+        "children[len(values):]",
+        "children[len(values) + 1:]",
+        BACKTEST_TESTS,
+    ),
+    Mutant(
+        "aws: a child's missing share is taken as decoded", TRACE,
+        "    if None in parts:  # a child's share is in doubt\n        return None\n",
+        "",
+        AWS_TESTS,
     ),
     Mutant(
         "sweep: a cell's spec drops initial_bid", ENGINE,

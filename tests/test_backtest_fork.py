@@ -14,6 +14,7 @@ import os
 import signal
 import struct
 from contextlib import contextmanager
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -127,6 +128,20 @@ def test_the_benchmark_backtest_forks_one_child_on_two_cpus(tmp_path, long_trace
     assert len(forks) == 1
     assert sorted(here) == ["current", "high", "minimum", "ondemand"]
     assert_no_child_left()
+
+
+def test_a_forked_report_keeps_its_texts_in_pieces_of_at_most_64_kib(long_trace):
+    trace = sb.validate(sb.parse_csv(Path(long_trace).read_bytes()))
+    specs = [stat(kind) for kind in list(sb.StrategyKind)[1:]] + [feedback()]
+    text = lambda bids: _bids_json(bids, 3)
+    with usable_cpus(2) as forks:
+        report = engine.backtest_text(trace, specs, BAND, text)
+    assert len(forks) == 1
+    assert_no_child_left()
+    serial = sb.backtest(trace, specs, BAND)
+    for kept, result in zip(report.results, serial.results):
+        assert max(map(len, kept.series.bids)) <= 65_536
+        assert "".join(kept.series.bids) == "".join(text(result.series.bids))
 
 
 def test_a_two_point_trace_never_forks(tmp_path):
@@ -310,17 +325,17 @@ def test_a_child_without_its_bytes_hands_back_none(death):
             os.kill(os.getpid(), signal.SIGKILL)
         os._exit(0)
 
-    assert forking.run_shares(lambda: "here", [task, lambda: b"sent"]) == (
-        "here", [None, b"sent"]
-    )
+    assert forking.run_shares([lambda: "here", task, lambda: b"sent"]) == [
+        "here", None, b"sent"
+    ]
     assert_no_child_left()
 
 
 def test_a_value_marshal_cannot_write_hands_back_none():
     unwritable = lambda: sb.MetricsSummary(1.0, 2.0)  # a named tuple
-    assert forking.run_shares(lambda: "here", [unwritable, lambda: b"sent"]) == (
-        "here", [None, b"sent"]
-    )
+    assert forking.run_shares([lambda: "here", unwritable, lambda: b"sent"]) == [
+        "here", None, b"sent"
+    ]
     assert_no_child_left()
 
 
@@ -328,16 +343,16 @@ def test_a_value_cut_short_hands_back_none():
     cut_short = lambda value: marshal.dumps(value)[:-3]  # run in the child
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(forking, "marshal", SimpleNamespace(dumps=cut_short, load=marshal.load))
-        assert forking.run_shares(lambda: "here", [lambda: [(1.0, 2.0, ("text",))]]) == (
-            "here", [None]
-        )
+        assert forking.run_shares([lambda: "here", lambda: [(1.0, 2.0, ("text",))]]) == [
+            "here", None
+        ]
     assert_no_child_left()
 
 
 def test_floats_and_texts_come_back_bit_for_bit():
     payload_nan = struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_0000_0001))[0]
     sent = [(-0.0, 5e-324, ("a" * 70_000, "b")), (math.nan, payload_nan, ()), (1.0, 0.1, ("",))]
-    _, (back,) = forking.run_shares(lambda: None, [lambda: sent])
+    _, back = forking.run_shares([lambda: None, lambda: sent])
     bits = lambda rows: [(struct.pack("<2d", x, y), pieces) for x, y, pieces in rows]
     assert bits(back) == bits(sent)
     assert_no_child_left()

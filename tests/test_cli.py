@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, formats, plot data, determinism."""
 import argparse
+import atexit
 import contextlib
 import io
 import json
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import spotbid as sb
 from spotbid import engine
 from spotbid.cli import (
+    _BIDS_PER_PIECE,
     _bids_json,
     _fixed,
     build_parser,
@@ -978,6 +980,24 @@ def test_run_flushes_and_runs_exit_callbacks(capsys, argv, code, thread):
         )
 
 
+def test_run_without_stdout_still_ends_in_os_exit(monkeypatch, tmp_path):
+    # A process started with descriptor 1 closed has no sys.stdout; a run
+    # that writes its --out file still ends in os._exit, not sys.exit.
+    argv = ["synth", *BAND_ARGS, "--points", "50"]
+    expected = tmp_path / "expected.csv"
+    assert main([*argv, "--out", str(expected)]) == 0
+    out, exits = tmp_path / "out.csv", []
+    monkeypatch.setattr(sys, "argv", ["spotbid", *argv, "--out", str(out)])
+    monkeypatch.setattr(sys, "stdout", None)
+    monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: None)  # pytest's own
+    monkeypatch.setattr(sb.cli, "_watched", lambda: False)  # under coverage, say
+    monkeypatch.setattr(os, "_exit", exits.append)
+    with pytest.raises(SystemExit):  # run() goes on to sys.exit past the recorder
+        sb.cli.run()
+    assert exits == [0]
+    assert out.read_bytes() == expected.read_bytes()
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -1390,6 +1410,8 @@ def test_bids_inside_window_skip_round(monkeypatch):
 )
 def test_bids_json_formats_each_distinct_bid_once_when_few(monkeypatch, bids, calls):
     # A silent fall-back from the table to the bulk path formats every bid.
+    # One piece holds every bid here, so the calls count formatting alone.
+    monkeypatch.setattr("spotbid.cli._BIDS_PER_PIECE", 65_536)
     formatted = _spy_on_fixed(monkeypatch)
     expected = json.dumps([round(bid, 6) for bid in bids], indent=2)
     assert "".join(_bids_json(bids, 0)) == expected
@@ -1412,16 +1434,37 @@ def test_bids_json_piece_edges(monkeypatch, per_piece):
 
 
 @pytest.mark.parametrize(
+    "bids",
+    [
+        # The longest text a float can have, with its separator at depth 3:
+        # 24 + 10 characters.
+        (-1.2345678901234567e+300,) * (3 * _BIDS_PER_PIECE + 1),
+        tuple(0.256 + k * 7.8e-6 for k in range(3 * _BIDS_PER_PIECE + 1)),
+        (0.256, 2.6, 1.2345678) * _BIDS_PER_PIECE + (0.3,),  # written from a table
+    ],
+    ids=["longest", "distinct", "table"],
+)
+def test_bids_json_pieces_hold_at_most_64_kib(bids):
+    # A kept text is held, and crosses a fork's pipe, in these pieces.
+    pieces = list(_bids_json(bids, 3))
+    expected = json.dumps([round(bid, 6) for bid in bids], indent=2)
+    assert "".join(pieces) == expected.replace("\n", "\n      ")
+    assert len(pieces) == 5
+    assert max(map(len, pieces)) <= 65_536
+
+
+@pytest.mark.parametrize(
     "start, step, limit",
     [
         # 300k distinct bids make 5.4 MB of text.  Built whole, the text and
         # its copies peaked at 13.4 MB (tracemalloc, Python 3.11), and 44.7 MB
-        # at 1M bids; written in pieces of 65,536 bids, the peak is 3.5 MB at
-        # either.
+        # at 1M bids; written in pieces of 65,536 bids, 2.3 MB at either, and
+        # in pieces of _BIDS_PER_PIECE (1,927) bids, 0.08 MB.
         (0.256, 7.8e-6, 6_000_000),
-        # Below 1e-4 each piece is rounded and written by the C encoder: 6.7 MB
-        # at 300k bids and at 1M.  Rounded and written whole, they peaked at
-        # 24.8 MB and 82.9 MB.
+        # Below 1e-4 each piece is rounded and written by the C encoder: 6.8 MB
+        # at 300k bids and at 1M in pieces of 65,536 bids, 0.25 MB in pieces
+        # of 1,927.  Rounded and written whole, they peaked at 24.8 MB and
+        # 82.9 MB.
         (1e-5, 3e-10, 12_000_000),
     ],
     ids=["in-window", "below-window"],
