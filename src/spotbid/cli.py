@@ -587,16 +587,14 @@ def _write_output(path: str | None, pieces: Iterable[str]) -> None:
 
 
 def _load_trace(args: argparse.Namespace) -> PriceTrace:
+    trace_filter = TraceFilter(args.instance_type, args.product, args.zone)
     if args.trace is not None:
+        if trace_filter != TraceFilter():  # a CSV trace has no labels to filter
+            raise UsageError("--instance-type, --product and --zone apply to --aws-json only")
         _log(_LOG_LEVELS["info"], "parsing CSV trace %s", args.trace)
         trace = parse_csv(_use_file(args.trace, lambda file: file.read()))
     else:
         _log(_LOG_LEVELS["info"], "parsing spot-price-history JSON %s", args.aws_json)
-        trace_filter = TraceFilter(
-            instance_type=args.instance_type,
-            product=args.product,
-            zone=args.zone,
-        )
         # A regular file is read a piece at a time, never held whole.
         trace = _use_file(args.aws_json, lambda file: parse_aws_json(file, trace_filter))
     return validate(trace)

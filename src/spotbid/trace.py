@@ -73,7 +73,7 @@ _AWS_FIELDS = (
 # threshold, about twice that, so a decode forks only for a clear gain.
 FORK_MIN_BYTES = 1 << 20
 
-# How an AWS document that may be decoded in shares opens: an array, or an
+# How an AWS document that is decoded in pieces opens: an array, or an
 # object whose first key is SpotPriceHistory, holding an array; group 1 is
 # set for the object.  A share is cut before a "," that precedes a "{".
 _AWS_OPENER = re.compile(
@@ -593,17 +593,18 @@ def parse_aws_json(
     helpers, so the first bad record and its message are the helpers'.
     JSON never yields a tuple, so a tuple in the array is a checked record.
 
-    Bytes or a file that open as an array or as {"SpotPriceHistory": [ are
-    decoded a piece of about AWS_PIECE_BYTES at a time, and from
-    FORK_MIN_BYTES on in shares, one per usable CPU, where os.fork exists
-    and no second thread runs (see _kept_in_shares and
-    forking.share_count).  Every piece is decoded with the same hook.  A
-    document of one piece, and any doubt about a piece, takes the
-    whole-document decode below instead, so the trace and any error are
-    that decode's; a regular file is then read whole, up to its size.  It
-    decodes the whole text with the hook; only a hooked decode that ran out
-    of depth or yielded a tuple (the top-level object passed as a record) is
-    followed by a plain decode, without the hook.  Invalid JSON fails the
+    Bytes or a file that open as an array or as {"SpotPriceHistory": [,
+    however small, are decoded a piece of about AWS_PIECE_BYTES at a time,
+    and from FORK_MIN_BYTES on in shares, one per usable CPU, where os.fork
+    exists and no second thread runs (see _kept_in_shares and
+    forking.share_count).  Every piece is decoded with the same hook.  Any
+    doubt about a piece takes the whole-document decode below instead, so
+    the trace and any error are that decode's; a regular file is then read
+    whole, up to its size.  That decode alone reads a str and a document of
+    any other opening.  It decodes the whole text with the hook; only a
+    hooked decode that ran out of depth or yielded a tuple (the top-level
+    object passed as a record) is followed by a plain decode, without the
+    hook.  Invalid JSON fails the
     hooked decode where it would fail the plain one, with the same message.
     An integer of more digits than int() converts is invalid JSON too:
     json.loads raises a plain ValueError.
@@ -721,8 +722,9 @@ def _kept_in_shares(read, size: int, check) -> list | None:
     most count of them: fewer only where the document ends.
 
     Only a document that opens as an array or as {"SpotPriceHistory": [
-    (_AWS_OPENER, within its first _HEAD_BYTES) is cut.  From FORK_MIN_BYTES
-    on it is split in one share per usable CPU, each cut at the first "," +
+    (_AWS_OPENER, within its first _HEAD_BYTES) is cut, however small.  Its
+    first share starts just after that "[".  From FORK_MIN_BYTES on it is
+    split in one share per usable CPU, each cut at the first "," +
     whitespace + "{" at or past an even split point (_next_cut).  Every
     share goes through one forking.run_shares call: this process decodes
     the first, a forked child each of the others, and a single share forks
@@ -730,15 +732,14 @@ def _kept_in_shares(read, size: int, check) -> list | None:
     time by _share_columns, the pieces cut the same way, with check as the
     hook, as the whole-document decode is.
 
-    A cut is trusted because every piece decodes to a nonempty array (the
-    document's first, from the opener on, to an array or to an object with
-    the one key SpotPriceHistory), and the last one is followed only by the
-    end of the document (_tail_ok).  By induction each piece starts at a record of
-    the record array, so one that decodes ends between two of them: a cut
+    A cut is trusted because every piece, "[" + its bytes, decodes to a
+    nonempty array, and the last one is followed only by the end of the
+    document (_tail_ok).  By induction each piece starts at a record of the
+    record array, so one that decodes ends between two of them: a cut
     inside a string leaves it unterminated, a cut at another depth leaves
     the closers unbalanced, and a record array that ends inside the piece
-    leaves extra data.  A duplicate key in the first piece is overwritten,
-    as in the whole-document decode.
+    leaves extra data.  So a second SpotPriceHistory key, which the
+    whole-document decode lets win, is always in doubt.
 
     Each share gives its record count, the index in the share and the dict
     of the first record the helpers reject (or None), and the columns of
@@ -748,7 +749,7 @@ def _kept_in_shares(read, size: int, check) -> list | None:
     again with its index in the whole document, once every share came back
     and every earlier share is clean, so a DataError it raises is the whole
     decode's.  Any doubt returns None: invalid JSON or UTF-8, nesting too
-    deep, a document of one piece, a read that came back short (a file cut
+    deep, an empty record array, a read that came back short (a file cut
     short during the parse), a child that died or a fork that failed.  A
     read that fails here raises its OSError; one that fails in a child
     leaves its share in doubt.
@@ -758,15 +759,13 @@ def _kept_in_shares(read, size: int, check) -> list | None:
         return None
     shares = forking.share_count(size, FORK_MIN_BYTES)
     ends: list[int] = []  # where each share but the last ends
-    starts = [0]  # where each share starts
+    starts = [opener.end()]  # where each share starts
     for k in range(1, shares):
-        cut = _next_cut(read, max(size * k // shares, starts[-1], opener.end()), size)
+        cut = _next_cut(read, max(size * k // shares, starts[-1]), size)
         if cut is None:
             break
         ends.append(cut)
         starts.append(cut + 1)
-    if not ends and _next_cut(read, max(AWS_PIECE_BYTES, opener.end()), size) is None:
-        return None  # a document of one piece
     ends.append(size)
     wrapped = opener.group(1) is not None
     try:
@@ -833,30 +832,23 @@ def _share_columns(read, start: int, end: int, size: int, check, wrapped: bool) 
     array('q'), their prices as array('d') (exact doubles), and for each
     label the set of its values, in the order of check's tuple.  A piece ends
     before the first "," + whitespace + "{" at or past AWS_PIECE_BYTES from
-    its start, and the next one starts after that ","; the document holds
-    more than one piece.  The piece at 0 is the document from its opener on,
-    every other one "[" + its bytes; each but the document's last is closed
-    and decoded whole, and the last one through raw_decode, then _tail_ok.
-    A piece read short is in doubt.
+    its start, and the next one starts after that ",".  Every piece is "["
+    + its bytes; each but the document's last is closed with "]" and
+    decoded whole, and the last one through raw_decode, then _tail_ok.  A
+    piece read short is in doubt.
     """
-    from array import array  # loaded only for a document of more than one piece
+    from array import array  # loaded only when an AWS document is decoded in pieces
 
     columns, count, bad = [array("q"), array("d"), set(), set(), set()], 0, None
     pos = start
-    while pos < end:
-        stop = _next_cut(read, pos + AWS_PIECE_BYTES, end)
-        if stop is None:
-            stop = end
+    while True:  # one piece at least: the first share is empty in a document "[" alone
+        stop = _next_cut(read, pos + AWS_PIECE_BYTES, end) or end  # a cut is never at 0
         data = read(pos, stop - pos)
         if len(data) != stop - pos:
             raise ValueError("the input ended before its size")
         last = stop == size
-        if pos == 0:
-            head, closer = b"", b"]}" if wrapped else b"]"
-        else:
-            head, closer = b"[", b"" if last else b"]"
         # A cut falls on a comma, never inside a character.
-        text = b"".join((head, data, closer)).decode("utf-8")
+        text = b"".join((b"[", data, b"" if last else b"]")).decode("utf-8")
         del data
         if last:
             records, at = json.JSONDecoder(object_hook=check).raw_decode(text)
@@ -864,11 +856,9 @@ def _share_columns(read, start: int, end: int, size: int, check, wrapped: bool) 
                 raise ValueError("text after the record array")
         else:
             records = json.loads(text, object_hook=check)
-            if type(records) is dict and len(records) == 1:  # the first piece of an object
-                records = records.get("SpotPriceHistory")
         del text
-        if type(records) is not list or not records:
-            raise ValueError("not a nonempty record array")
+        if not records:  # a list: the text opens with "["
+            raise ValueError("an empty record array")
         if bad is None:
             try:
                 _keep(columns, filter(None, _check_declined(records, check)))
@@ -877,8 +867,9 @@ def _share_columns(read, start: int, end: int, size: int, check, wrapped: bool) 
                 idx = next(i for i, rec in enumerate(records) if type(rec) is not tuple)
                 bad = count + idx, records[idx]
         count += len(records)
+        if stop == end:
+            return count, bad, columns
         pos = stop + 1
-    return count, bad, columns
 
 
 def _tail_ok(tail: str, wrapped: bool) -> bool:

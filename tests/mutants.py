@@ -43,7 +43,8 @@ AWS_TESTS = "tests/test_aws_fork.py"
 
 # engine._score_split, which deals a backtest's strategies and a sweep's
 # cells into shares, and the sweep's specs; forking.run_shares, through
-# which every share runs; and trace._kept_in_shares, its AWS decode caller.
+# which every share runs; trace._kept_in_shares, its AWS decode caller; and
+# trace._share_columns, the walk that decodes each share a piece at a time.
 MUTANTS = [
     Mutant(
         "split: each spec joins the most loaded child share", ENGINE,
@@ -102,6 +103,45 @@ MUTANTS = [
     Mutant(
         "aws: a child's missing share is taken as decoded", TRACE,
         "    if None in parts:  # a child's share is in doubt\n        return None\n",
+        "",
+        AWS_TESTS,
+    ),
+    Mutant(
+        "walk: the first share starts a byte past the opener", TRACE,
+        "starts = [opener.end()]",
+        "starts = [opener.end() + 1]",
+        AWS_TESTS,
+    ),
+    Mutant(
+        "walk: a piece before the document's last is not closed", TRACE,
+        'b"" if last else b"]"',
+        'b""',
+        AWS_TESTS,
+    ),
+    Mutant(
+        "walk: the last piece of every share is taken as the document's", TRACE,
+        "last = stop == size",
+        "last = stop == end",
+        AWS_TESTS,
+    ),
+    Mutant(
+        "walk: text after the record array is not checked", TRACE,
+        "            if not _tail_ok(text[at:], wrapped):\n"
+        '                raise ValueError("text after the record array")\n',
+        "",
+        AWS_TESTS,
+    ),
+    Mutant(
+        "walk: a piece read short is decoded", TRACE,
+        "        if len(data) != stop - pos:\n"
+        '            raise ValueError("the input ended before its size")\n',
+        "",
+        AWS_TESTS,
+    ),
+    Mutant(
+        "walk: an empty piece is taken as records", TRACE,
+        '        if not records:  # a list: the text opens with "["\n'
+        '            raise ValueError("an empty record array")\n',
         "",
         AWS_TESTS,
     ),

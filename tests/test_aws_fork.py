@@ -1,5 +1,6 @@
-"""An AWS document is decoded a piece at a time, and a large one in shares
-across forked children.
+"""An AWS document is decoded a piece at a time, however small, and a large
+one in shares across forked children; a document of one piece takes the
+same walk, not the whole-document decode.
 
 In pieces, in shares or whole, from bytes or from a file, parse_aws_json
 gives the same trace or the same first DataError and leaves no child
@@ -87,8 +88,9 @@ def outcome(raw, cpus, trace_filter=ALL):
 
 
 def serial(raw, trace_filter=ALL):
-    """The outcome of the whole-document decode, which a document of one
-    piece takes anyway, forced here for a document of many."""
+    """The outcome of the whole-document decode, forced here: every document
+    that opens as an AWS record array, of one piece or of many, is otherwise
+    decoded in pieces."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sb.trace, "_kept_in_shares", lambda read, size, check: None)
         result, forks, decoded = outcome(raw, 1, trace_filter)
@@ -198,6 +200,44 @@ def test_a_document_is_decoded_a_record_a_piece(layout, wrapped, cpus):
             assert outcome(raw, cpus, trace_filter) == (expected, cpus - 1, False)
 
 
+@pytest.mark.parametrize("source", ["bytes", "file"])
+@pytest.mark.parametrize("wrapped", [True, False], ids=["object", "array"])
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_a_small_document_takes_the_piece_walk(layout, wrapped, source):
+    # A document under one piece is decoded as a large one is, by the walk:
+    # the whole-document decode, whose _decode the outcome counts, never runs.
+    raw = document(PIECED, wrapped, layout)
+    assert len(raw) < sb.trace.AWS_PIECE_BYTES
+    parse = file_outcome if source == "file" else outcome
+    for trace_filter in (ALL, sb.TraceFilter(instance_type="g2.8xlarge")):
+        expected = serial(raw, trace_filter)
+        assert expected.startswith("PriceTrace(")
+        assert parse(raw, 1, trace_filter) == (expected, 0, False)
+
+
+@pytest.mark.parametrize("source", ["bytes", "file"])
+@pytest.mark.parametrize(
+    "text, message, in_doubt",
+    [
+        ('{"SpotPriceHistory": []}', "zero records after filtering", True),
+        ("[", "invalid JSON: Expecting value: line 1 column 2 (char 1)", True),
+        ('{"SpotPriceHistory": [', "invalid JSON: Expecting value: line 1 column 23 (char 22)",
+         True),
+        (json.dumps([*CLEAN[:2], _record("yesterday"), *CLEAN[3:]]),
+         "unparseable timestamp 'yesterday' at record 2", False),
+    ],
+    ids=["empty-array", "opener-alone", "object-opener-alone", "bad-record"],
+)
+def test_a_small_document_keeps_the_whole_decode_messages(text, message, in_doubt, source):
+    # An empty record array and a document that ends after its "[" are in
+    # doubt; a bad record is named by the walk, with the same message.
+    raw = text.encode()
+    parse = file_outcome if source == "file" else outcome
+    expected = f"DataError: {message}"
+    assert serial(raw) == expected
+    assert parse(raw, 1) == (expected, 0, in_doubt)
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_the_members_after_the_record_array_end_the_document(layout, cpus):
@@ -230,11 +270,12 @@ WRAPPED_PIECED = '{"SpotPriceHistory": ' + json.dumps(PIECED)
         json.dumps(PIECED) + ", []",
         json.dumps(PIECED).replace("[", "[, ", 1),
         WRAPPED_PIECED.replace("[", "[, ", 1) + "}",
+        json.dumps(PIECED).replace("[", "[ , ", 1),
     ],
     ids=["records-again", "escaped-records-again", "undecodable", "trailing-comma",
          "unclosed", "trailing-text", "closed-twice", "nesting-too-deep", "digit-limit",
          "array-closed-as-object", "array-then-text", "comma-after-array-opener",
-         "comma-after-object-opener"],
+         "comma-after-object-opener", "blank-first-piece"],
 )
 def test_a_document_in_doubt_after_its_pieces_is_decoded_whole(text, cpus):
     # A long tail holds the middle of the document, where no share is cut.
@@ -407,6 +448,26 @@ def test_a_file_grown_during_the_parse(reads, cpus):
     with piece_bytes(1), regular_file(raw) as file, wrapped_pread(append):
         assert outcome(file, cpus) == (serial(raw), cpus - 1, False)
         assert file.seek(0, os.SEEK_END) > len(raw)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_piece_read_short_between_two_records_is_in_doubt(cpus):
+    # A read comes back short where the file was cut during the parse, and
+    # a piece cut between two records still decodes.  When it is the last
+    # piece of this process's share and a child read its share before the
+    # cut, no later read finds the file short, so the records after the cut
+    # would be lost.  Here that one read is short and the file stays whole.
+    raw = document(PIECED)
+    first = raw.index(b"[") + 1  # where this process's share starts
+    pread = sb.trace._pread
+
+    def short_read(fd, offset, count):
+        data = pread(fd, offset, count)
+        return data[:data.rindex(b", {")] if offset == first else data
+
+    with regular_file(raw) as file, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sb.trace, "_pread", short_read)
+        assert outcome(file, cpus) == (serial(raw), cpus - 1, True)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -630,7 +691,9 @@ def test_a_label_holding_a_record_boundary_across_the_cut():
 @pytest.mark.parametrize("cut_in", ["first", "second"])
 def test_duplicate_record_arrays(cut_in):
     # The last SpotPriceHistory key wins, as in the serial decode; the bad
-    # record in the first array is never checked.
+    # record in the first array is never checked.  A second key is in doubt
+    # wherever the cut falls: in the first array the last share's tail holds
+    # it, in the second the first share's piece does not decode.
     first, second = [_record("yesterday"), *CLEAN[:2]], CLEAN[2:]
     if cut_in == "first":
         first, second = first + CLEAN[2:], CLEAN[:2]
@@ -641,7 +704,7 @@ def test_duplicate_record_arrays(cut_in):
     assert in_second == (cut_in == "second")
     result, decoded = _split_result(raw)
     assert result.startswith("PriceTrace(")
-    assert decoded == (cut_in == "first")  # a cut in the first array is in doubt
+    assert decoded
 
 
 @pytest.mark.parametrize(
@@ -652,8 +715,8 @@ def test_duplicate_record_arrays(cut_in):
 )
 def test_a_key_after_the_record_array(records, fields):
     # The last share's tail holds the other members of the object, which is
-    # its end.  The archived records hold the cut: the first share then
-    # decodes to an object with two keys, which is in doubt.
+    # its end.  The archived records hold the cut: the first share's piece
+    # then holds the end of the record array, which is in doubt.
     raw = document(records, **fields)
     archived = "Archive" in fields
     if archived:

@@ -244,6 +244,19 @@ def test_ingest_aws_filtered_to_stdout(capsys):
     ]
 
 
+@pytest.mark.parametrize("flag", ["--instance-type", "--product", "--zone"])
+@pytest.mark.parametrize("command", ["ingest", "backtest", "sweep"])
+def test_a_filter_flag_with_a_csv_trace_is_usage_error(tmp_path, capsys, command, flag):
+    # The filters select AWS records, and a CSV trace has no labels.  An
+    # empty value is given too, and the check runs before the file is read.
+    band = [] if command == "ingest" else BAND_ARGS
+    for path, value in ((TRACE, "nothing"), (str(tmp_path / "missing.csv"), "")):
+        assert run([command, "--trace", path, *band, flag, value]) == 1
+        assert capsys.readouterr() == (
+            "", "error: --instance-type, --product and --zone apply to --aws-json only\n"
+        )
+
+
 def test_ingest_writes_csv_only(capsys):
     assert run(["ingest", "--aws-json", AWS, "--format", "csv"]) == 0
     assert capsys.readouterr().out.startswith("timestamp,price\n")

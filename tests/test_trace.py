@@ -853,7 +853,8 @@ def test_parse_aws_json_edge_documents_match_reference_loop(text, trace_filter):
 
 def _spy_on_decodes(monkeypatch):
     """Replace json as spotbid.trace sees it with a spy; the list it fills
-    holds (hooked, raised) for each decode."""
+    holds (hooked, raised) for each decode.  The piece walk is turned off,
+    so every document takes the whole-document decode, which the spy counts."""
     calls = []
 
     def loads(*args, **kwargs):
@@ -867,6 +868,7 @@ def _spy_on_decodes(monkeypatch):
 
     spy = SimpleNamespace(loads=loads, JSONDecodeError=json.JSONDecodeError)
     monkeypatch.setattr(sb.trace, "json", spy)
+    monkeypatch.setattr(sb.trace, "_kept_in_shares", lambda read, size, check: None)
     return calls
 
 
