@@ -174,8 +174,11 @@ def _feedback_bids(
         if not -width < error < width:
             if not math.isfinite(price):
                 raise ValueError(f"observed price must be finite, got {price!r}")
-            if not math.isfinite(error):
-                raise ValueError(f"error must be finite, got {error!r}")
+            if not math.isfinite(error):  # price + pre_delta overflowed
+                raise DataError(
+                    f"{_step_label(trace, len(bids))}: error {error!r} is not "
+                    f"finite (price={price!r}, pre_delta={pre}, bid={bid!r})"
+                )
             raise DataError(
                 f"{_step_label(trace, len(bids))}: error {error} outside "
                 f"proportional band ({-width}, {width}); price and bid cannot "
@@ -189,6 +192,8 @@ def _feedback_bids(
                 f"finite (kp={kp}, ki={ki}, error={error}, "
                 f"error_sum={error_sum}); the gains are too large for this trace"
             )
+        # This floor clamp binds only where atan(u) > math.pi / 2, which a
+        # faithfully rounded atan may return from |u| of about 1.6e16.
         bid = floor + width * ((half_pi - atan(u)) / pi)
         if floor > bid:
             bid = floor
@@ -216,7 +221,8 @@ def run_strategy(
     already bid their constant when the first price arrives; the other
     strategies start from the configured initial bid.  A non-finite price
     raises ValueError; for feedback, an error outside the proportional band
-    or a non-finite control signal raises DataError naming the step.
+    or not finite, or a non-finite control signal, raises DataError naming
+    the step.
     """
     validate_spec(spec, band, require_negative_gains=False)
     kind = spec.kind

@@ -23,7 +23,7 @@ import stat
 from collections import namedtuple
 from collections.abc import Iterator
 from datetime import date, datetime, timezone
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import attrgetter, gt, le, lt, sub
 
 from . import forking
@@ -42,7 +42,9 @@ _TWO_DIGITS = tuple(f"{n:02d}" for n in range(60))
 # and 32 KiB, against 33 ms for the row loop alone (Python 3.11.7, min of
 # 35).  The pass peaks at about 7.5 bytes per chunk byte (tracemalloc),
 # 120 KB here; the process's peak RSS after that parse rose 0.3 MB above
-# the row loop's at 16 KiB and 0.4 MB at 32 KiB.
+# the row loop's at 16 KiB and 0.4 MB at 32 KiB.  A serial sweep over 2.5k
+# points peaked at 16.69 MB at 16 KiB against 16.82 MB at AWS_PIECE_BYTES'
+# 64 KiB (os.wait4, 12 alternating runs).
 CSV_CHUNK_BYTES = 16 * 1024
 _BOM = b"\xef\xbb\xbf"
 # Rows csv_blocks formats at a time.  `ingest` writes the 25k points the AWS
@@ -290,6 +292,24 @@ def format_timestamps(stamps: tuple[int, ...]) -> list[str]:
     return texts
 
 
+def _pieces(read, start: int, end: int, piece_bytes: int, next_cut) -> Iterator[tuple]:
+    """(offset, bytes) of each piece from byte start to byte end, read with
+    read(offset, count): the one walk of CSV chunks and AWS record arrays.
+    A piece ends at next_cut(offset + piece_bytes), the first cut at or past
+    that point, or end; the next starts just after the cut's byte, if that
+    is before end.  One piece at least; one read short raises ValueError."""
+    pos = start
+    while True:
+        stop = next_cut(pos + piece_bytes)
+        piece = [read(pos, stop - pos)]  # emptied by the yield: the caller can free it
+        if len(piece[0]) != stop - pos:
+            raise ValueError("the input ended before its size")
+        yield pos, piece.pop()
+        pos = stop + 1
+        if pos >= end:
+            return
+
+
 def parse_csv(raw: bytes | str) -> PriceTrace:
     """Parse `timestamp,price` CSV into a trace, in file order.
 
@@ -303,14 +323,15 @@ def parse_csv(raw: bytes | str) -> PriceTrace:
     one path reads both and a lone surrogate reaches the converters, which
     reject it as they do in a str.  Every leading BOM is skipped.
 
-    The header line goes through the row loop (_read_rows).  The rows after
-    it are cut into chunks of about CSV_CHUNK_BYTES, each ending at a "\n",
-    and each chunk takes the chunk pass (_convert_chunk), which converts it
-    by passes over the whole chunk in C.  A chunk the pass cannot prove
-    clean goes through the row loop instead, with its true line numbers: one
-    with a lone "\r", a blank line or a line without exactly two cells, a
-    cell that fromisoformat or float() rejects, a naive stamp, one that does
-    not convert to UTC at whole seconds, a price that is not finite and
+    The header line goes alone through the row loop (_read_rows).  The rows
+    after it are walked by _pieces, as an AWS record array is: each chunk
+    ends just before the first "\n" at or past CSV_CHUNK_BYTES from its
+    start, and takes the chunk pass (_convert_chunk), which converts it by
+    passes over the whole chunk in C.  A chunk the pass cannot prove clean
+    goes through the row loop instead, with its true line numbers: one with
+    a lone "\r", a blank line or a line without exactly two cells, a cell
+    that fromisoformat or float() rejects, a naive stamp, one that does not
+    convert to UTC at whole seconds, a price that is not finite and
     non-negative, or more bytes than csv.field_size_limit().  A '"' in a
     chunk hands the rest of the input to the row loop, because a quoted
     field may span lines.  The row loop converts every row with the helpers
@@ -323,32 +344,28 @@ def parse_csv(raw: bytes | str) -> PriceTrace:
     else:
         _decode(raw)
         data = raw
-    pos = 0
-    while data.startswith(_BOM, pos):
-        pos += 3
+    start, end = 0, len(data)
+    while data.startswith(_BOM, start):
+        start += 3
     stamps: list[int] = []
     prices: list[float] = []
     limit = csv.field_size_limit()
-    line_no, counted = 1, pos  # line_no is the number of the line at counted
-    end = data.find(b"\n", pos) + 1 or len(data)  # the header line
-    header = True
-    while True:
-        quoted = data.find(b'"', pos, end) >= 0
-        if (header or quoted or end - pos > limit
-                or not _convert_chunk(data[pos:end], stamps, prices)):
+    line_end = lambda at: data.find(b"\n", at) % (end + 1)  # find's -1 becomes end
+    head = line_end(start)  # where the header line ends
+    pieces = _pieces(lambda at, count: data[at:at + count], min(head + 1, end), end,
+                     CSV_CHUNK_BYTES, line_end)
+    line_no, counted = 1, start  # line_no is the number of the line at counted
+    for pos, piece in chain([(start, data[start:head])], pieces):  # the header first
+        quoted = b'"' in piece
+        if (pos == start or quoted or len(piece) > limit
+                or not _convert_chunk(piece, stamps, prices)):
             line_no += data.count(b"\n", counted, pos)
             counted = pos
-            stop = None if quoted or end == len(data) else data.count(b"\n", pos, end)
             with _text_lines(data, pos) as lines:
+                stop = None if quoted else piece.count(b"\n") + 1
                 _read_rows(islice(lines, stop), line_no, stamps, prices)
             if quoted:
                 break
-        if end == len(data):
-            break
-        header = False
-        pos = end
-        end = (data.rfind(b"\n", pos, pos + CSV_CHUNK_BYTES) + 1
-               or data.find(b"\n", pos + CSV_CHUNK_BYTES) + 1 or len(data))
     if not stamps:
         raise DataError("empty body: no data rows after the header")
     return PriceTrace(tuple(stamps), tuple(prices))
@@ -409,7 +426,9 @@ def _convert_chunk(chunk: bytes, stamps: list[int], prices: list[float]) -> bool
     row is one the helpers convert without their strip and "z" rewrite.
 
     The caller passes a chunk with no '"' and no more bytes than csv's
-    field size limit.  With "\r\n" folded to "\n", each line must be a
+    field size limit, most often without the "\n" that ends its last line
+    (see _pieces): that is put back first, so that a "\r" before it folds
+    with it.  With "\r\n" folded to "\n", each line must be a
     cell, ",", a cell, so the cells alternate stamp and price, and each
     must pass the helpers' steps on its raw text: fromisoformat, an aware
     stamp, astimezone for one not in timezone.utc, whole seconds, then
@@ -417,12 +436,12 @@ def _convert_chunk(chunk: bytes, stamps: list[int], prices: list[float]) -> bool
     the whole chunk in C; the conversion of non-UTC stamps and that to
     epoch seconds are comprehensions.
     """
+    if not chunk.endswith(b"\n"):
+        chunk += b"\n"
     if b"\r" in chunk:
         chunk = chunk.replace(b"\r\n", b"\n")
         if b"\r" in chunk:
             return False
-    if not chunk.endswith(b"\n"):
-        chunk += b"\n"
     separators = chunk.translate(None, _NOT_SEPARATORS)
     if separators != b",\n" * (len(separators) // 2):
         return False
@@ -495,11 +514,7 @@ def _aws_record(
         if isinstance(rec[key], (dict, list, tuple)):
             raise DataError(f"{where}: {key} must not be an object or array")
     ts = _parse_timestamp(str(rec["Timestamp"]), where)
-    price = _parse_price(spot, where)
-    instance_type = str(rec["InstanceType"])
-    product = str(rec["ProductDescription"])
-    zone = str(rec["AvailabilityZone"])
-    return ts, price, instance_type, product, zone
+    return (ts, _parse_price(spot, where), *(str(rec[key]) for key in _AWS_FIELDS[2:]))
 
 
 def _record_check(trace_filter: TraceFilter):
@@ -604,10 +619,9 @@ def parse_aws_json(
     any other opening.  It decodes the whole text with the hook; only a
     hooked decode that ran out of depth or yielded a tuple (the top-level
     object passed as a record) is followed by a plain decode, without the
-    hook.  Invalid JSON fails the
-    hooked decode where it would fail the plain one, with the same message.
-    An integer of more digits than int() converts is invalid JSON too:
-    json.loads raises a plain ValueError.
+    hook.  Invalid JSON fails the hooked decode where it would fail the
+    plain one, with the same message.  An integer of more digits than int()
+    converts is invalid JSON too: json.loads raises a plain ValueError.
 
     AWS lists records newest first, so the kept stamps are checked before
     any sort: strictly decreasing ones give the columns reversed, and
@@ -619,9 +633,8 @@ def parse_aws_json(
     check = _record_check(trace_filter)
     if not isinstance(raw, (bytes, str)) and not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
         raw = raw.read()  # a pipe, say, cannot be read at an offset
-    if isinstance(raw, str):
-        columns = None
-    else:
+    columns = None
+    if not isinstance(raw, str):
         if isinstance(raw, bytes):
             read, size = (lambda offset, count: raw[offset:offset + count]), len(raw)
         else:
@@ -631,11 +644,10 @@ def parse_aws_json(
         if columns is None:
             raw = read(0, size)  # of bytes, the object itself: a whole slice is no copy
     if columns is None:
-        # The input bytes and the decoded text are each as large as the file.
-        # Each is freed as soon as it is no longer read, which lowers the
-        # peak memory: the bytes once decoded (if the caller holds no other
-        # reference, as for bytes read from a file here), the text once
-        # decoded.
+        # The bytes and the decoded text are each as large as the document.
+        # Each is freed once read, which lowers the peak memory: the bytes
+        # (if the caller holds no other reference) once decoded, the text
+        # once parsed.
         text = _decode(raw)
         del raw
         try:
@@ -658,7 +670,7 @@ def parse_aws_json(
         kept = filter(None, _check_declined(records, check))  # drops each _SKIPPED
         columns = list(zip(*kept)) or [()] * 5
         del doc, records, kept
-    stamps, prices, types, products, zones = columns
+    stamps, prices, *labels = columns
     del columns
     if not stamps:
         raise DataError("zero records after filtering")
@@ -673,13 +685,9 @@ def parse_aws_json(
         column = lambda values: tuple(map(values.__getitem__, order))
     stamps = column(stamps)  # each column is freed as soon as its tuple exists
     prices = column(prices)
-    return PriceTrace(
-        stamps,
-        prices,
-        instance_type=trace_filter.instance_type or _common_label(types),
-        product=trace_filter.product or _common_label(products),
-        zone=trace_filter.zone or _common_label(zones),
-    )
+    # TraceFilter's fields are PriceTrace's labels, in the same order.
+    return PriceTrace(stamps, prices, *(
+        want or _common_label(values) for want, values in zip(trace_filter, labels)))
 
 
 def _keep(columns: list, kept) -> None:
@@ -728,9 +736,8 @@ def _kept_in_shares(read, size: int, check) -> list | None:
     whitespace + "{" at or past an even split point (_next_cut).  Every
     share goes through one forking.run_shares call: this process decodes
     the first, a forked child each of the others, and a single share forks
-    nothing.  Each share reads its own bytes and is decoded a piece at a
-    time by _share_columns, the pieces cut the same way, with check as the
-    hook, as the whole-document decode is.
+    nothing.  Each share reads its own bytes and is walked a piece at a
+    time by _share_columns, with check as the hook.
 
     A cut is trusted because every piece, "[" + its bytes, decodes to a
     nonempty array, and the last one is followed only by the end of the
@@ -743,16 +750,15 @@ def _kept_in_shares(read, size: int, check) -> list | None:
 
     Each share gives its record count, the index in the share and the dict
     of the first record the helpers reject (or None), and the columns of
-    its kept records; a child's come back through the pipe, which
-    keeps the dicts, lists, tuples, strings and numbers of a record as they
-    are, and an array as its bytes.  This process checks a rejected record
-    again with its index in the whole document, once every share came back
-    and every earlier share is clean, so a DataError it raises is the whole
-    decode's.  Any doubt returns None: invalid JSON or UTF-8, nesting too
-    deep, an empty record array, a read that came back short (a file cut
-    short during the parse), a child that died or a fork that failed.  A
-    read that fails here raises its OSError; one that fails in a child
-    leaves its share in doubt.
+    its kept records; a child's come back through forking's pipe, which
+    keeps a record's values as they are, and an array as its bytes.  This
+    process checks a rejected record again with its index in the whole
+    document, once every share came back and every earlier share is clean,
+    so a DataError it raises is the whole decode's.  Any doubt returns
+    None: invalid JSON or UTF-8, nesting too deep, an empty record array, a
+    read that came back short (a file cut short during the parse), a child
+    that died or a fork that failed.  A read that fails here raises its
+    OSError; one that fails in a child leaves its share in doubt.
     """
     opener = _AWS_OPENER.match(read(0, _HEAD_BYTES))
     if opener is None:
@@ -830,23 +836,19 @@ def _share_columns(read, start: int, end: int, size: int, check, wrapped: bool) 
     the share and the dict of its first record the helpers reject, and
     columns those of its kept records up to that one: their stamps as
     array('q'), their prices as array('d') (exact doubles), and for each
-    label the set of its values, in the order of check's tuple.  A piece ends
-    before the first "," + whitespace + "{" at or past AWS_PIECE_BYTES from
-    its start, and the next one starts after that ",".  Every piece is "["
-    + its bytes; each but the document's last is closed with "]" and
-    decoded whole, and the last one through raw_decode, then _tail_ok.  A
-    piece read short is in doubt.
+    label the set of its values, in the order of check's tuple.  The share
+    is walked by _pieces, as the rows of a CSV are: a piece ends before the
+    first "," + whitespace + "{" at or past AWS_PIECE_BYTES from its start
+    (_next_cut), and a piece read short is in doubt.  Every piece is "[" +
+    its bytes; each but the document's last is closed with "]" and decoded
+    whole, and the last one through raw_decode, then _tail_ok.
     """
     from array import array  # loaded only when an AWS document is decoded in pieces
 
     columns, count, bad = [array("q"), array("d"), set(), set(), set()], 0, None
-    pos = start
-    while True:  # one piece at least: the first share is empty in a document "[" alone
-        stop = _next_cut(read, pos + AWS_PIECE_BYTES, end) or end  # a cut is never at 0
-        data = read(pos, stop - pos)
-        if len(data) != stop - pos:
-            raise ValueError("the input ended before its size")
-        last = stop == size
+    for pos, data in _pieces(read, start, end, AWS_PIECE_BYTES,
+                             lambda at: _next_cut(read, at, end) or end):  # a cut is never 0
+        last = pos + len(data) == size
         # A cut falls on a comma, never inside a character.
         text = b"".join((b"[", data, b"" if last else b"]")).decode("utf-8")
         del data
@@ -867,9 +869,7 @@ def _share_columns(read, start: int, end: int, size: int, check, wrapped: bool) 
                 idx = next(i for i, rec in enumerate(records) if type(rec) is not tuple)
                 bad = count + idx, records[idx]
         count += len(records)
-        if stop == end:
-            return count, bad, columns
-        pos = stop + 1
+    return count, bad, columns
 
 
 def _tail_ok(tail: str, wrapped: bool) -> bool:

@@ -36,15 +36,20 @@ Mutant = namedtuple("Mutant", "name file old new test")
 
 ENGINE = "src/spotbid/engine.py"
 FORKING = "src/spotbid/forking.py"
+METRICS = "src/spotbid/metrics.py"
+STRATEGIES = "src/spotbid/strategies.py"
 TRACE = "src/spotbid/trace.py"
 SWEEP_TESTS = "tests/test_sweep_fork.py"
 BACKTEST_TESTS = "tests/test_backtest_fork.py"
 AWS_TESTS = "tests/test_aws_fork.py"
+TRACE_TESTS = "tests/test_trace.py"
 
 # engine._score_split, which deals a backtest's strategies and a sweep's
 # cells into shares, and the sweep's specs; forking.run_shares, through
-# which every share runs; trace._kept_in_shares, its AWS decode caller; and
-# trace._share_columns, the walk that decodes each share a piece at a time.
+# which every share runs; trace._kept_in_shares, its AWS decode caller;
+# trace._pieces, the one walk of the CSV chunks and of each AWS share, with
+# _share_columns and parse_csv, which convert its pieces; and two error
+# paths of the replay and the scores.
 MUTANTS = [
     Mutant(
         "split: each spec joins the most loaded child share", ENGINE,
@@ -120,8 +125,8 @@ MUTANTS = [
     ),
     Mutant(
         "walk: the last piece of every share is taken as the document's", TRACE,
-        "last = stop == size",
-        "last = stop == end",
+        "last = pos + len(data) == size",
+        "last = pos + len(data) == end",
         AWS_TESTS,
     ),
     Mutant(
@@ -133,7 +138,7 @@ MUTANTS = [
     ),
     Mutant(
         "walk: a piece read short is decoded", TRACE,
-        "        if len(data) != stop - pos:\n"
+        "        if len(piece[0]) != stop - pos:\n"
         '            raise ValueError("the input ended before its size")\n',
         "",
         AWS_TESTS,
@@ -144,6 +149,63 @@ MUTANTS = [
         '            raise ValueError("an empty record array")\n',
         "",
         AWS_TESTS,
+    ),
+    Mutant(
+        "walk: a piece starts at its cut's byte", TRACE,
+        "        pos = stop + 1\n",
+        "        pos = stop\n",
+        TRACE_TESTS,
+    ),
+    Mutant(
+        "walk: an empty piece follows a cut at the input's last byte", TRACE,
+        "if pos >= end:",
+        "if pos > end:",
+        TRACE_TESTS,
+    ),
+    Mutant(
+        "csv: the row loop stops at the end of a chunk with a quote", TRACE,
+        "stop = None if quoted else piece.count(b\"\\n\") + 1",
+        "stop = piece.count(b\"\\n\") + 1",
+        TRACE_TESTS,
+    ),
+    Mutant(
+        "csv: the walk goes on after a quote handed the rest to the row loop", TRACE,
+        "            if quoted:\n                break\n",
+        "",
+        TRACE_TESTS,
+    ),
+    Mutant(
+        "csv: a chunk's CRLF is folded before its line end is put back", TRACE,
+        '    if not chunk.endswith(b"\\n"):\n        chunk += b"\\n"\n'
+        '    if b"\\r" in chunk:\n'
+        '        chunk = chunk.replace(b"\\r\\n", b"\\n")\n'
+        '        if b"\\r" in chunk:\n            return False\n',
+        '    if b"\\r" in chunk:\n'
+        '        chunk = chunk.replace(b"\\r\\n", b"\\n")\n'
+        '        if b"\\r" in chunk:\n            return False\n'
+        '    if not chunk.endswith(b"\\n"):\n        chunk += b"\\n"\n',
+        TRACE_TESTS,
+    ),
+    Mutant(
+        "shares: a pipe that fails is raised, not redone here", FORKING,
+        "    try:\n        read_fd, write_fd = os.pipe()\n    except OSError:\n"
+        "        return None\n",
+        "    read_fd, write_fd = os.pipe()\n",
+        BACKTEST_TESTS,
+    ),
+    Mutant(
+        "replay: a finite price's infinite error is not a data error", STRATEGIES,
+        "            if not math.isfinite(error):  # price + pre_delta overflowed\n"
+        "                raise DataError(",
+        "            if not math.isfinite(error):  # price + pre_delta overflowed\n"
+        "                raise ValueError(",
+        "tests/test_strategies.py",
+    ),
+    Mutant(
+        "scores: an infinite distance is taken", METRICS,
+        "if not (math.isfinite(d) and d > 0):",
+        "if not d > 0:",
+        "tests/test_metrics.py",
     ),
     Mutant(
         "sweep: a cell's spec drops initial_bid", ENGINE,
@@ -167,6 +229,23 @@ EQUIVALENT = [
         "balance of the work: each result is placed by its spec's index, "
         "every child still gets a spec while specs remain, and the first "
         "error is still found by the rerun in spec order",
+    ),
+    (
+        Mutant(
+            "replay: the first floor clamp of the feedback bid is dropped", STRATEGIES,
+            "bid = floor + width * ((half_pi - atan(u)) / pi)\n"
+            "        if floor > bid:\n            bid = floor\n",
+            "bid = floor + width * ((half_pi - atan(u)) / pi)\n",
+            "tests/test_strategies.py",
+        ),
+        "it binds only where atan(u) > math.pi / 2, and neither glibc's atan "
+        "(exactly math.pi / 2 at 1e16, 1e17, 1e300 and inf, and never above it "
+        "at 10**0 to 10**308) nor a correctly rounded one (math.pi / 2 is the "
+        "double nearest pi/2) returns more; then half_pi - atan(u) is never "
+        "negative, and floor plus a non-negative term is never below floor.  "
+        "A faithfully rounded atan may return 1.5707963267948968 for |u| from "
+        "about 1.6e16, as math.pi / 2 lies 6.1e-17 below pi/2, and the clamp "
+        "then binds, so the line stays",
     ),
 ]
 

@@ -318,6 +318,23 @@ def test_a_fork_that_fails_leaves_the_serial_bytes(tmp_path, long_trace):
         assert report_bytes(tmp_path, argv) == serial
 
 
+def test_a_pipe_that_fails_leaves_the_serial_bytes(tmp_path, long_trace):
+    # No child starts: each share is scored here instead.
+    pipes = []
+
+    def no_pipe():
+        pipes.append(None)
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    argv = ["backtest", "--trace", long_trace, *BAND_ARGS, "--include-bids"]
+    with usable_cpus(1):
+        serial = report_bytes(tmp_path, argv)
+    with usable_cpus(3) as forks, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "pipe", no_pipe)
+        assert report_bytes(tmp_path, argv) == serial
+    assert (len(pipes), forks) == (2, [])
+
+
 @pytest.mark.parametrize("death", ["exits 0 unwritten", "killed"])
 def test_a_child_without_its_bytes_hands_back_none(death):
     def task():

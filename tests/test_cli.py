@@ -103,6 +103,38 @@ def test_control_signal_overflow_is_data_error(tmp_path, capsys):
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("command", ["backtest", "sweep"])
+def test_an_error_that_overflows_is_data_error(tmp_path, capsys, command):
+    # price + pre_delta overflows at step 1: the price is finite, its error is
+    # not.  sweep has no --strategies flag; it replays feedback alone.
+    huge = tmp_path / "huge.csv"
+    huge.write_text(
+        "timestamp,price\n"
+        "2020-01-01T00:00:00Z,1e308\n"
+        "2020-01-01T00:01:00Z,1e308\n"
+    )
+    argv = [command, "--trace", str(huge), "--floor", "0.256", "--ceiling", "1.7e308",
+            "--pre-delta", "1e308"]
+    if command == "backtest":
+        argv += ["--strategies", "feedback"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 1 (2020-01-01T00:00:00Z): error inf is not finite")
+
+
+def test_an_infinite_distance_is_data_error(tmp_path, capsys):
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text(
+        "timestamp,price\n"
+        "2020-01-01T00:00:00Z,1e-300\n"
+        "2020-01-01T00:01:00Z,1e-300\n"
+    )
+    argv = ["backtest", "--trace", str(tiny), "--floor", "1e-300", "--ceiling", "1.7e308",
+            "--strategies", "ondemand"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: strategy 'ondemand' has invalid distance inf\n"
+
+
 @pytest.mark.parametrize(
     "flags",
     [

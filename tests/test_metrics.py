@@ -65,6 +65,15 @@ def test_relative_rationality_zero_distance_rejected():
         sb.relative_rationality([("a", 0.3), ("b", 0.0)])
 
 
+def test_relative_rationality_infinite_distance_rejected():
+    # Bids at a ceiling of 1.7e308 over two prices of 1e-300: each step's
+    # distance is finite, and their sum overflows.
+    distance = sb.distance(make_series([1.7e308] * 3), make_trace([1e-300] * 2))
+    assert distance == math.inf
+    with pytest.raises(sb.DataError, match="^strategy 'b' has invalid distance inf$"):
+        sb.relative_rationality([("a", 0.3), ("b", distance)])
+
+
 def test_relative_rationality_empty_rejected():
     with pytest.raises(ValueError):
         sb.relative_rationality([])

@@ -343,6 +343,9 @@ def replay_specs(draw):
     ),
     prices=[1.3, 2.5, 0.3],
 )
+@example(  # price + pre_delta overflows at step 2: a finite price, an inf error
+    spec=spec_for(sb.StrategyKind.FEEDBACK, pre=1e308), prices=[-1e308, 1e308]
+)
 @example(spec=spec_for(sb.StrategyKind.MEAN), prices=[1.0, math.nan])
 # post_delta of either zero: the causal baselines skip the addition
 @example(spec=spec_for(sb.StrategyKind.MINIMUM, post=0.0), prices=[1.0, 0.5, 2.0])
@@ -360,8 +363,10 @@ def test_run_strategy_matches_reference_replay(spec, prices):
         return
     exc, index = failure
     expected_type = type(exc)
-    if "control signal" in str(exc):
-        expected_type = sb.DataError  # non-finite u is a data error in the loop
+    if "control signal" in str(exc) or "error must be finite" in str(exc):
+        # a non-finite u, or a finite price's non-finite error, is a data
+        # error in the loop
+        expected_type = sb.DataError
     with pytest.raises(expected_type) as info:
         sb.run_strategy(spec, trace, REFERENCE_BAND)
     assert type(info.value) is expected_type

@@ -277,14 +277,37 @@ def test_a_bad_row_at_a_chunk_cut_keeps_its_line_number(bad, message, offset):
     rows = [f"{sb.format_timestamp(1577836800 + 60 * i)},{1.5:.17f}" for i in range(3000)]
     head = "timestamp,price\n"
     raw = (head + "".join(row + "\n" for row in rows)).encode()
-    # The first chunk after the header ends at the last line end it holds.
-    cut = raw.rfind(b"\n", len(head), len(head) + sb.trace.CSV_CHUNK_BYTES) + 1
+    # The first chunk after the header ends at the first line end at or past
+    # CSV_CHUNK_BYTES from its start, and the second starts just after it.
+    cut = raw.index(b"\n", len(head) + sb.trace.CSV_CHUNK_BYTES) + 1
     line = raw.count(b"\n", 0, cut) + 1 + offset  # the first line of the second chunk, + offset
     rows[line - 2] = bad
     raw = (head + "".join(row + "\n" for row in rows)).encode()
     result = _parse_outcome(sb.parse_csv, raw)
     assert result.startswith(f"DataError: {message.format(line)}")
     assert result == _parse_outcome(reference_parse_csv, raw)
+
+
+@pytest.mark.parametrize("chunk", [1, sb.trace.CSV_CHUNK_BYTES])
+@pytest.mark.parametrize("final", ["", "\n"], ids=["unended", "ended"])
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_a_clean_csv_sends_only_its_header_to_the_row_loop(chunk, final, line_end):
+    # Every chunk of a clean trace takes the chunk pass, a CRLF chunk too, and
+    # no empty chunk follows a final line end.  With chunks of 1 byte each
+    # line is a chunk, so the final line end is a cut.
+    rows = [f"{sb.format_timestamp(1577836800 + 60 * i)},{1.5:.17f}" for i in range(1000)]
+    raw = (line_end.join(["timestamp,price", *rows]) + final.replace("\n", line_end)).encode()
+    read_rows, first_lines = sb.trace._read_rows, []
+
+    def counted_read_rows(lines, line_no, stamps, prices):
+        first_lines.append(line_no)
+        read_rows(lines, line_no, stamps, prices)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sb.trace, "_read_rows", counted_read_rows)
+        mp.setattr(sb.trace, "CSV_CHUNK_BYTES", chunk)
+        assert sb.parse_csv(raw) == reference_parse_csv(raw)
+    assert first_lines == [1]
 
 
 def test_a_quote_hands_the_rest_to_the_row_loop_with_its_line_numbers():
