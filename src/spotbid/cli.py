@@ -69,10 +69,12 @@ _ALL_STRATEGIES = ",".join(kind.value for kind in StrategyKind)
 # write byte-identical reports.
 _NOT_ECHOED = frozenset(("command", "handler", "out", "format", "plot_dir"))
 
-# Bids the report writer formats at a time, so that a piece of a bids array
-# at depth 3 holds at most 65,536 characters: a bid and its separator take at
-# most 34 ("-1.2345678901234567e+300", then ",\n" and 8 spaces).  A kept text
-# is held, and crosses a fork's pipe, in these pieces.
+# Bids the report writer formats at a time.  A bid's text takes at most 24
+# characters ("-1.2345678901234567e+300").  A kept piece adds its "," to
+# each, so it holds at most 48,175 characters; a kept text is held, and
+# crosses a fork's pipe, in these pieces.  Laid out at depth 3, a bid and its
+# separator take at most 34 (",\n" and 8 spaces), so a written piece holds
+# at most 65,518 characters.
 _BIDS_PER_PIECE = 1_927
 
 
@@ -357,9 +359,12 @@ def _fixed(bids: tuple[float, ...]) -> str:
     )
 
 
-def _bids_json(bids: tuple[float, ...], depth: int) -> Iterator[str]:
-    """The text json.dumps(_rounded(bids), indent=2) gives, indented as at
-    depth, in pieces of at most _BIDS_PER_PIECE bids.
+def _bids_json(bids: tuple[float, ...]) -> Iterator[str]:
+    """The kept text of a bids array: each value json.dumps(_rounded(bids))
+    writes, followed by ",", in pieces of _BIDS_PER_PIECE bids (the last
+    may hold fewer), and no piece for no bids.  It holds no layout, about 9
+    characters a bid against 18 laid out at depth 3; _laid_out writes it as
+    json.dumps(_rounded(bids), indent=2) lays the array out.
 
     When every bid is finite and 1e-4 <= bid < 1e9, one C call formats a
     piece's bids as "%.6f", and the trailing zeros are stripped down to one
@@ -375,8 +380,9 @@ def _bids_json(bids: tuple[float, ...], depth: int) -> Iterator[str]:
     Any other tuple (holding a NaN, an infinity, a zero, a subnormal, a
     negative or a bid of 1e9 or more) has each piece rounded and written by
     the C encoder, which writes a float as float.__repr__ (NaN and Infinity
-    for the non-finite ones).  No float's text contains ", ", so the only
-    ", " in its output are the separators.
+    for the non-finite ones).  No float's text contains a ",", so the only
+    ", " in its output are the separators, and each "," of the kept text
+    ends a bid.
 
     When at most a quarter of the bids are distinct (a held bid, a running
     minimum), each distinct bid is formatted once into a table, and the bids
@@ -386,40 +392,53 @@ def _bids_json(bids: tuple[float, ...], depth: int) -> Iterator[str]:
     (equal, written differently) and NaN (equal to nothing) lie outside it.
     """
     if not bids:
-        yield "[]"
         return
     head = bids[:1024]  # a cheap first test, so all-distinct bids skip set(bids)
     few = 4 * len(set(head)) <= len(head) and 4 * len(values := set(bids)) <= len(bids)
     values = tuple(values) if few else bids
-    pad = "\n" + "  " * (depth + 1)
-    sep = "," + pad
     # min and max pass over a NaN after the first item, so isfinite goes first.
     if not (all(map(math.isfinite, values)) and 1e-4 <= min(values) and max(values) < 1e9):
-        body = lambda piece: json.dumps(_rounded(piece))[1:-1].replace(", ", sep) + sep
+        body = lambda piece: json.dumps(_rounded(piece))[1:-1].replace(", ", ",") + ","
     elif few:
-        table = dict(zip(values, [text + sep for text in _fixed(values).split(",")]))
+        table = dict(zip(values, [text + "," for text in _fixed(values).split(",")]))
         body = lambda piece: "".join(map(table.__getitem__, piece))
     else:
-        body = lambda piece: _fixed(piece).replace(",", sep)
-    # Every bid but the last is followed by sep; the last closes the array.
-    last = len(bids) - 1
+        body = _fixed
+    for start in range(0, len(bids), _BIDS_PER_PIECE):
+        yield body(bids[start : start + _BIDS_PER_PIECE])
+
+
+def _laid_out(text: Iterable[str], depth: int) -> Iterator[str]:
+    """A kept bids text (see _bids_json) laid out as json.dumps(indent=2)
+    writes the array at depth, a piece for each of its pieces after the
+    array's first line: each "," becomes "," and a line end with the
+    indent, and the last one the line that closes the array."""
+    pad = "\n" + "  " * (depth + 1)
+    sep = "," + pad
+    pieces = iter(text)
+    piece = next(pieces, "")
+    if not piece:
+        yield "[]"
+        return
     yield "[" + pad
-    for start in range(0, last, _BIDS_PER_PIECE):
-        yield body(bids[start : min(start + _BIDS_PER_PIECE, last)])
-    yield body(bids[last:])[: -len(sep)] + pad[:-2] + "]"
+    for following in pieces:
+        yield piece.replace(",", sep)
+        piece = following
+    yield piece[:-1].replace(",", sep) + pad[:-2] + "]"
 
 
 def _report_pieces(
     report: BacktestReport, fmt: str, texts: Iterable[Iterable[str]] | None
 ) -> Iterator[str]:
-    """render_report's text in pieces, where texts holds each result's bids
-    array as its text's pieces, or is None for a report without bids.
+    """render_report's text in pieces, where texts holds each result's kept
+    bids text (see _bids_json) as its pieces, or is None for a report
+    without bids.
 
     json.dumps(indent=2) writes each top-level value and, with bids, each
-    strategy entry but its bids, which come from texts.  Each of those
-    texts is indented to its depth by indenting its line ends: json.dumps
-    escapes a line end inside a string, so every one it writes is layout.
-    With texts from _bids_json(bids, 3), the text is that of
+    strategy entry but its bids, which _laid_out writes from texts at depth
+    3.  Each json.dumps text is indented to its depth by indenting its line
+    ends: json.dumps escapes a line end inside a string, so every one it
+    writes is layout.  So the text is that of
     json.dumps(report_to_obj(report, True), indent=2) + "\n".
 
     The backtest command writes the pieces one by one, so the whole report
@@ -438,7 +457,7 @@ def _report_pieces(
                 # The entry without its closing "\n}", then its bids.
                 head = json.dumps(entry, indent=2)[:-2].replace("\n", "\n    ")
                 yield f'{opener}\n    {head},\n      "bids": '
-                yield from text
+                yield from _laid_out(text, 3)
                 yield "\n    }"
                 opener = ","
             yield "\n  ]"
@@ -457,7 +476,7 @@ def _report_pieces(
 def render_report(report: BacktestReport, fmt: str, include_bids: bool) -> str:
     texts = None
     if include_bids:
-        texts = [_bids_json(result.series.bids, 3) for result in report.results]
+        texts = [_bids_json(result.series.bids) for result in report.results]
     return "".join(_report_pieces(report, fmt, texts))
 
 
@@ -668,12 +687,12 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
         report = backtest(trace, specs, band, **options)
         # Plot data first: a run whose plot data fails leaves no report behind.
         write_plot_data(report, trace, args.plot_dir)
-        texts = (_bids_json(r.series.bids, 3) for r in report.results)
+        texts = (_bids_json(r.series.bids) for r in report.results)
     else:
-        # Of each series only what the report writes is kept: the text of
-        # its bids, or nothing.
-        text = (lambda bids: _bids_json(bids, 3)) if with_bids else None
-        report = backtest_text(trace, specs, band, text, **options)
+        # Of each series only what the report writes is kept: the kept text
+        # of its bids, or nothing.
+        report = backtest_text(trace, specs, band, _bids_json if with_bids else None,
+                               **options)
         texts = (r.series.bids for r in report.results)
     pieces = _report_pieces(report, args.format, texts if with_bids else None)
     _write_output(args.out, pieces)

@@ -57,8 +57,8 @@ FORK_MIN_NS = 7_000_000
 #   cell-steps are about one CPU-hour;
 # - a backtest strategy keeps one bid per point until the report is written,
 #   32.7 bytes a point for a causal mean, so 64 strategies over 1M points
-#   hold about 2.1 GB; backtest_text keeps instead its bids' text, about
-#   18 bytes a point, or nothing.
+#   hold about 2.1 GB; backtest_text keeps instead its bids' text without
+#   its layout, about 9 bytes a point, or nothing.
 MAX_SWEEP_CELLS = 250_000
 MAX_SWEEP_CELL_STEPS = 10**10
 MAX_STRATEGIES = 64

@@ -7,9 +7,10 @@ UTC instants at second resolution, held as epoch seconds (int); prices are
 positive USD/hour values parsed into double precision.
 
 A trace is two columns, not one object per point: replay and scoring read
-only the prices, and stamps are only compared and formatted, which plain
-ints do cheaply.  A per-point object cost as much to build as its row took
-to parse, and held more memory than both of its values.
+only the prices, and stamps are only compared and formatted, so they are
+held as one array('q'), 8 bytes a stamp, against a 32-byte int and its
+8-byte slot in a tuple.  A per-point object cost as much to build as its
+row took to parse, and held more memory than both of its values.
 """
 from __future__ import annotations
 
@@ -20,8 +21,9 @@ import math
 import os
 import re
 import stat
+from array import array
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from datetime import date, datetime, timezone
 from itertools import chain, islice, repeat
 from operator import attrgetter, gt, le, lt, sub
@@ -111,18 +113,24 @@ TracePoint = namedtuple("TracePoint", ("timestamp", "price"))
 class PriceTrace:
     """Ordered spot-price observations plus market metadata labels.
 
-    stamps holds each instant as UTC epoch seconds, price_column the price
-    observed at it.  The five fields are read-only; ==, hash, repr and
-    pickling follow them.  Not a named tuple: len() counts the points.
+    stamps holds each instant as UTC epoch seconds, in one array('q'):
+    given an array('q'), the trace keeps it as it is, and any other
+    iterable of ints is copied into one.  The array is shared, not copied,
+    so callers must not mutate it.  price_column holds the price observed
+    at each instant.  The five fields are read-only; ==, hash, repr and
+    pickling follow them, and the hash reads the stamps through a tuple,
+    since an array has none.  Not a named tuple: len() counts the points.
     """
 
     __slots__ = ("stamps", "price_column", "instance_type", "product", "zone")
     _values = property(attrgetter(*__slots__))
 
     def __init__(
-        self, stamps: tuple[int, ...], price_column: tuple[float, ...],
+        self, stamps: Iterable[int], price_column: tuple[float, ...],
         instance_type: str = "", product: str = "", zone: str = "",
     ) -> None:
+        if type(stamps) is not array or stamps.typecode != "q":
+            stamps = array("q", stamps)
         values = (stamps, price_column, instance_type, product, zone)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
@@ -138,7 +146,7 @@ class PriceTrace:
         return self._values == other._values
 
     def __hash__(self) -> int:
-        return hash(self._values)
+        return hash((tuple(self.stamps), *self._values[1:]))
 
     def __repr__(self) -> str:
         fields = map("{}={!r}".format, self.__slots__, self._values)
@@ -347,7 +355,7 @@ def parse_csv(raw: bytes | str) -> PriceTrace:
     start, end = 0, len(data)
     while data.startswith(_BOM, start):
         start += 3
-    stamps: list[int] = []
+    stamps = array("q")
     prices: list[float] = []
     limit = csv.field_size_limit()
     line_end = lambda at: data.find(b"\n", at) % (end + 1)  # find's -1 becomes end
@@ -368,7 +376,7 @@ def parse_csv(raw: bytes | str) -> PriceTrace:
                 break
     if not stamps:
         raise DataError("empty body: no data rows after the header")
-    return PriceTrace(tuple(stamps), tuple(prices))
+    return PriceTrace(stamps, tuple(prices))
 
 
 def _text_lines(data: bytes, pos: int) -> io.TextIOWrapper:
@@ -386,7 +394,7 @@ def _text_lines(data: bytes, pos: int) -> io.TextIOWrapper:
     )
 
 
-def _read_rows(lines, line_no: int, stamps: list[int], prices: list[float]) -> None:
+def _read_rows(lines, line_no: int, stamps: array, prices: list[float]) -> None:
     """The row loop: append the rows of lines, the first of them at line
     line_no, to stamps and prices; line 1 is the header.
 
@@ -420,9 +428,9 @@ def _read_rows(lines, line_no: int, stamps: list[int], prices: list[float]) -> N
         raise DataError(f"malformed CSV at line {line}: {exc}") from None
 
 
-def _convert_chunk(chunk: bytes, stamps: list[int], prices: list[float]) -> bool:
+def _convert_chunk(chunk: bytes, stamps: array, prices: list[float]) -> bool:
     """The chunk pass: append the rows of chunk to stamps and prices and
-    return True, or return False, with neither list changed, unless every
+    return True, or return False, with neither column changed, unless every
     row is one the helpers convert without their strip and "z" rewrite.
 
     The caller passes a chunk with no '"' and no more bytes than csv's
@@ -465,7 +473,7 @@ def _convert_chunk(chunk: bytes, stamps: list[int], prices: list[float]) -> bool
         all(map(math.isfinite, values)) and min(values) >= 0
     ):
         return False
-    stamps += [d.days * 86400 + d.seconds for d in map(sub, times, repeat(_EPOCH))]
+    stamps.fromlist([d.days * 86400 + d.seconds for d in map(sub, times, repeat(_EPOCH))])
     prices += values
     return True
 
@@ -627,8 +635,9 @@ def parse_aws_json(
     any sort: strictly decreasing ones give the columns reversed, and
     non-decreasing ones the columns as they stand, which is what the
     stable sort would give; only other orders, equal stamps among
-    decreasing ones included, take an index sort.  Each column is freed as
-    soon as the trace's tuple of it is built.
+    decreasing ones included, take an index sort.  The stamps go to the
+    trace as an array('q'), and the prices as a tuple; each column is freed
+    as soon as the trace's form of it is built.
     """
     check = _record_check(trace_filter)
     if not isinstance(raw, (bytes, str)) and not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
@@ -675,16 +684,17 @@ def parse_aws_json(
     if not stamps:
         raise DataError("zero records after filtering")
 
+    # The piece walk's stamps are an array('q') already; the whole decode's
+    # tuple is copied into one by PriceTrace.
     if all(map(gt, stamps, islice(stamps, 1, None))):  # newest first, as AWS lists them
-        column = lambda values: tuple(reversed(values))
+        stamps = stamps[::-1]
+        prices = tuple(reversed(prices))
     elif all(map(le, stamps, islice(stamps, 1, None))):  # a stable sort moves nothing
-        column = tuple
+        prices = tuple(prices)
     else:
-        stamps = list(stamps)  # a list indexes faster than an array, and its ints go to the trace
         order = sorted(range(len(stamps)), key=stamps.__getitem__)  # stable: ties keep input order
-        column = lambda values: tuple(map(values.__getitem__, order))
-    stamps = column(stamps)  # each column is freed as soon as its tuple exists
-    prices = column(prices)
+        stamps = array("q", map(stamps.__getitem__, order))
+        prices = tuple(map(prices.__getitem__, order))
     # TraceFilter's fields are PriceTrace's labels, in the same order.
     return PriceTrace(stamps, prices, *(
         want or _common_label(values) for want, values in zip(trace_filter, labels)))
@@ -843,8 +853,6 @@ def _share_columns(read, start: int, end: int, size: int, check, wrapped: bool) 
     its bytes; each but the document's last is closed with "]" and decoded
     whole, and the last one through raw_decode, then _tail_ok.
     """
-    from array import array  # loaded only when an AWS document is decoded in pieces
-
     columns, count, bad = [array("q"), array("d"), set(), set(), set()], 0, None
     for pos, data in _pieces(read, start, end, AWS_PIECE_BYTES,
                              lambda at: _next_cut(read, at, end) or end):  # a cut is never 0
@@ -885,7 +893,8 @@ def _tail_ok(tail: str, wrapped: bool) -> bool:
 
 
 def validate(trace: PriceTrace) -> PriceTrace:
-    """Check trace invariants: nonempty, increasing timestamps, positive prices.
+    """Check trace invariants: nonempty, positive prices, increasing
+    timestamps, and as many stamps as prices, in that order.
 
     A valid trace is decided by passes in C (all over map, min); only an
     invalid one is walked in Python, to name its first bad index.
@@ -901,6 +910,11 @@ def validate(trace: PriceTrace) -> PriceTrace:
         raise DataError(
             f"non-increasing timestamps at indices {idx - 1} and {idx}: "
             f"{format_timestamp(stamps[idx - 1])} then {format_timestamp(stamps[idx])}"
+        )
+    if len(stamps) != len(prices):
+        raise DataError(
+            f"the timestamp and price columns differ in length: "
+            f"{len(stamps)} and {len(prices)}"
         )
     return trace
 
@@ -935,5 +949,5 @@ def synth_step_hold(config: SynthConfig) -> PriceTrace:
             prices.append(level)
         jump = rng.uniform(-config.step_scale, config.step_scale)
         level = band.clamp(level + jump)
-    stamps = tuple(range(SYNTH_EPOCH, SYNTH_EPOCH + 60 * len(prices), 60))
+    stamps = array("q", range(SYNTH_EPOCH, SYNTH_EPOCH + 60 * len(prices), 60))
     return PriceTrace(stamps, tuple(prices), instance_type="synthetic")

@@ -1,4 +1,4 @@
-"""Mutation gate: each listed mutant of src/ must make its test file fail.
+"""Mutation gate: each listed mutant of src/ must make its tests fail.
 
 Run from any directory:
 
@@ -10,7 +10,8 @@ and first runs, unmutated, each test file that a mutant names; each must
 pass.  Then, for each mutant, it replaces one exact piece of source text in
 the copy, runs the mutant's test file there with ``pytest -x -q`` and the
 conftest's "mutants" Hypothesis profile, which does not shrink a failing
-example, and puts the text back.  A mutant is killed when pytest reports a
+example, and puts the text back.  A mutant's tests are a test file or
+test node ids, separated by spaces.  A mutant is killed when pytest reports a
 failing test (exit status 1).  The script exits 1 when a mutant survives,
 when a mutant's source text is not found exactly once (a refactor must then
 update the list), or when pytest exits with any other status: a mutant that
@@ -34,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 Mutant = namedtuple("Mutant", "name file old new test")
 
+CLI = "src/spotbid/cli.py"
 ENGINE = "src/spotbid/engine.py"
 FORKING = "src/spotbid/forking.py"
 METRICS = "src/spotbid/metrics.py"
@@ -43,13 +45,25 @@ SWEEP_TESTS = "tests/test_sweep_fork.py"
 BACKTEST_TESTS = "tests/test_backtest_fork.py"
 AWS_TESTS = "tests/test_aws_fork.py"
 TRACE_TESTS = "tests/test_trace.py"
+# The report writer's tests: the kept bids text and its layout against
+# json.dumps, the count of bids each path formats, and the piece sizes.
+BIDS_TESTS = " ".join(f"tests/test_cli.py::{name}" for name in (
+    "test_bids_inside_window_skip_round",
+    "test_bids_json_formats_each_distinct_bid_once_when_few",
+    "test_bids_json_piece_edges",
+    "test_the_writer_lays_out_the_kept_text_as_json_dumps",
+    "test_bids_json_pieces_hold_at_most_64_kib",
+    "test_render_report_bids_match_json_dumps_indent",
+))
 
 # engine._score_split, which deals a backtest's strategies and a sweep's
 # cells into shares, and the sweep's specs; forking.run_shares, through
 # which every share runs; trace._kept_in_shares, its AWS decode caller;
 # trace._pieces, the one walk of the CSV chunks and of each AWS share, with
-# _share_columns and parse_csv, which convert its pieces; and two error
-# paths of the replay and the scores.
+# _share_columns and parse_csv, which convert its pieces; two error paths
+# of the replay and the scores; the report writer's bids text, kept without
+# its layout by cli._bids_json and laid out by cli._laid_out; and the AWS
+# parse's reversed stamps.
 MUTANTS = [
     Mutant(
         "split: each spec joins the most loaded child share", ENGINE,
@@ -213,6 +227,96 @@ MUTANTS = [
         "Adjustments(pre, post))",
         "tests/test_engine.py",
     ),
+    Mutant(
+        "bids: the window formats a bid to 7 places", CLI,
+        '(("%.6f," * len(bids)) % bids)',
+        '(("%.7f," * len(bids)) % bids)',
+        BIDS_TESTS,
+    ),
+    Mutant(
+        'bids: the window strips no "00" before a comma', CLI,
+        '        .replace("00,", ",")\n',
+        "",
+        BIDS_TESTS,
+    ),
+    Mutant(
+        'bids: the window leaves a bare "." before a comma', CLI,
+        '        .replace(".,", ".0,")\n',
+        "",
+        BIDS_TESTS,
+    ),
+    Mutant(
+        "bids: a NaN past the first bid enters the window", CLI,
+        "if not (all(map(math.isfinite, values)) and 1e-4 <= min(values)",
+        "if not (1e-4 <= min(values)",
+        BIDS_TESTS,
+    ),
+    Mutant(
+        "bids: the window opens at 1e-5", CLI,
+        "and 1e-4 <= min(values) and",
+        "and 1e-5 <= min(values) and",
+        BIDS_TESTS,
+    ),
+    Mutant(
+        "bids: the window closes at 1e16", CLI,
+        "max(values) < 1e9):",
+        "max(values) < 1e16):",
+        BIDS_TESTS,
+    ),
+    Mutant(
+        "bids: the json fallback keeps its spaces", CLI,
+        '[1:-1].replace(", ", ",") + ","',
+        '[1:-1] + ","',
+        BIDS_TESTS,
+    ),
+    Mutant(
+        "bids: few distinct bids are formatted one by one", CLI,
+        "    few = 4 * len(set(head)) <= len(head) and",
+        "    few = False and",
+        BIDS_TESTS,
+    ),
+    Mutant(
+        "bids: the table's gate reads the head alone", CLI,
+        "and 4 * len(values := set(bids)) <= len(bids)",
+        "and (values := set(bids))",
+        BIDS_TESTS,
+    ),
+    Mutant(
+        "bids: the table gives a bid another's text", CLI,
+        "table = dict(zip(values, [",
+        "table = dict(zip(sorted(values), [",
+        BIDS_TESTS,
+    ),
+    Mutant(
+        "bids: a table text still carries the indent", CLI,
+        '[text + "," for text in _fixed(values)',
+        '[text + ",\\n        " for text in _fixed(values)',
+        BIDS_TESTS,
+    ),
+    Mutant(
+        "bids: a piece repeats the next one's first bid", CLI,
+        "yield body(bids[start : start + _BIDS_PER_PIECE])",
+        "yield body(bids[start : start + _BIDS_PER_PIECE + 1])",
+        BIDS_TESTS,
+    ),
+    Mutant(
+        "bids: a last piece of one bid is dropped", CLI,
+        "for start in range(0, len(bids), _BIDS_PER_PIECE):",
+        "for start in range(0, len(bids) - 1, _BIDS_PER_PIECE):",
+        BIDS_TESTS,
+    ),
+    Mutant(
+        "layout: the last piece is not laid out", CLI,
+        'yield piece[:-1].replace(",", sep) + pad[:-2] + "]"',
+        'yield piece[:-1] + pad[:-2] + "]"',
+        BIDS_TESTS,
+    ),
+    Mutant(
+        "aws: newest-first stamps are not reversed", TRACE,
+        "        stamps = stamps[::-1]\n",
+        "",
+        "tests/test_aws_fork.py::test_the_kept_order_gives_the_index_sort_trace",
+    ),
 ]
 
 # Mutants no test can kill, each with why no output can tell it apart.
@@ -251,11 +355,12 @@ EQUIVALENT = [
 
 
 def pytest_status(copy: Path, test: str) -> int:
-    """pytest's exit status for the test file test in the copy."""
+    """pytest's exit status for test, a test file or space-separated test
+    node ids, in the copy."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         "--hypothesis-profile=mutants", test],
+         "--hypothesis-profile=mutants", *test.split()],
         cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         timeout=900,
     ).returncode

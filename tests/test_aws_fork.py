@@ -22,6 +22,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+from array import array
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -628,7 +629,8 @@ def test_the_kept_order_gives_the_index_sort_trace(order, way):
     stamps = ORDERS[order]
     trace, sorts = parse_way(ordered_document(stamps), way)
     assert trace == index_sorted(stamps)
-    assert type(trace.stamps) is tuple and type(trace.price_column) is tuple
+    assert type(trace.stamps) is array and trace.stamps.typecode == "q"
+    assert type(trace.price_column) is tuple
     assert sorts == (order not in SORTED_ORDERS)
 
 

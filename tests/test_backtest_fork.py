@@ -133,15 +133,30 @@ def test_the_benchmark_backtest_forks_one_child_on_two_cpus(tmp_path, long_trace
 def test_a_forked_report_keeps_its_texts_in_pieces_of_at_most_64_kib(long_trace):
     trace = sb.validate(sb.parse_csv(Path(long_trace).read_bytes()))
     specs = [stat(kind) for kind in list(sb.StrategyKind)[1:]] + [feedback()]
-    text = lambda bids: _bids_json(bids, 3)
     with usable_cpus(2) as forks:
-        report = engine.backtest_text(trace, specs, BAND, text)
+        report = engine.backtest_text(trace, specs, BAND, _bids_json)
     assert len(forks) == 1
     assert_no_child_left()
     serial = sb.backtest(trace, specs, BAND)
     for kept, result in zip(report.results, serial.results):
         assert max(map(len, kept.series.bids)) <= 65_536
-        assert "".join(kept.series.bids) == "".join(text(result.series.bids))
+        assert "".join(kept.series.bids) == "".join(_bids_json(result.series.bids))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_no_kept_bids_piece_holds_a_line_end(long_trace, cpus):
+    # A report's bids are kept, and cross a fork's pipe, without their
+    # layout: the writer adds each line end and indent.
+    trace = sb.validate(sb.parse_csv(Path(long_trace).read_bytes()))
+    specs = [feedback()] + [stat(kind) for kind in list(sb.StrategyKind)[1:]]
+    with usable_cpus(cpus) as forks:
+        report = engine.backtest_text(trace, specs, BAND, _bids_json)
+    assert len(forks) == cpus - 1
+    assert_no_child_left()
+    for result in report.results:
+        assert result.series.bids
+        assert not any("\n" in piece or " " in piece for piece in result.series.bids)
+        assert "".join(result.series.bids).count(",") == len(trace) + 1
 
 
 def test_a_two_point_trace_never_forks(tmp_path):
@@ -176,7 +191,7 @@ def stat(kind, mode=sb.StatMode.CAUSAL, post=0.0):
 
 def text_report(trace, specs, with_bids=True):
     """backtest_text's JSON report and CSV summary, or its DataError's message."""
-    text = (lambda bids: _bids_json(bids, 3)) if with_bids else None
+    text = _bids_json if with_bids else None
     try:
         report = engine.backtest_text(trace, specs, BAND, text, config_echo={"k": 1})
     except sb.DataError as exc:

@@ -20,6 +20,8 @@ from spotbid.cli import (
     _BIDS_PER_PIECE,
     _bids_json,
     _fixed,
+    _laid_out,
+    _rounded,
     build_parser,
     main,
     render_report,
@@ -1415,6 +1417,11 @@ def test_render_report_matches_json_dumps_of_report_to_obj(
     assert render_report(report, "json", include_bids) == expected
 
 
+def written(bids, depth=0):
+    """The report writer's text of bids at depth, from their kept text."""
+    return "".join(_laid_out(_bids_json(bids), depth))
+
+
 def _spy_on_fixed(monkeypatch):
     """A list that gets the length of each tuple _bids_json formats."""
     formatted = []
@@ -1433,13 +1440,13 @@ def test_bids_inside_window_skip_round(monkeypatch):
 
     monkeypatch.setattr("spotbid.cli._rounded", no_round)
     formatted = _spy_on_fixed(monkeypatch)
-    # 15 bids with 5 distinct take the bulk path (all but the last bid, then
-    # the last); 100 bids with the same 5 take the table path.
-    for copies, calls in ((3, [14, 1]), (20, [5])):
+    # 15 bids with 5 distinct take the bulk path (one piece); 100 bids with
+    # the same 5 take the table path.
+    for copies, calls in ((3, [15]), (20, [5])):
         bids = tuple(INSIDE_EDGES) * copies
         expected = json.dumps([round(bid, 6) for bid in bids], indent=2)
         formatted.clear()
-        assert "".join(_bids_json(bids, 0)) == expected
+        assert written(bids) == expected
         assert formatted == calls
 
 
@@ -1448,8 +1455,8 @@ def test_bids_inside_window_skip_round(monkeypatch):
     [
         ((2.6,) * 25_001, [1]),
         ((0.256, 2.6) * 3000, [2]),
-        (tuple(0.256 + k * 3.3e-5 for k in range(5000)), [4999, 1]),
-        ((0.5,) * 1100 + tuple(0.256 + k * 3.3e-5 for k in range(5000)), [6099, 1]),
+        (tuple(0.256 + k * 3.3e-5 for k in range(5000)), [5000]),
+        ((0.5,) * 1100 + tuple(0.256 + k * 3.3e-5 for k in range(5000)), [6100]),
     ],
     ids=["constant", "two-values", "distinct", "few-distinct-head"],
 )
@@ -1459,7 +1466,7 @@ def test_bids_json_formats_each_distinct_bid_once_when_few(monkeypatch, bids, ca
     monkeypatch.setattr("spotbid.cli._BIDS_PER_PIECE", 65_536)
     formatted = _spy_on_fixed(monkeypatch)
     expected = json.dumps([round(bid, 6) for bid in bids], indent=2)
-    assert "".join(_bids_json(bids, 0)) == expected
+    assert written(bids) == expected
     assert formatted == calls
 
 
@@ -1471,11 +1478,45 @@ def test_bids_json_piece_edges(monkeypatch, per_piece):
     for bids in (distinct, (2.6,) * len(distinct), (0.3, 2.6) * len(distinct), below):
         for count in range(1, len(bids) + 1):
             expected = json.dumps([round(bid, 6) for bid in bids[:count]], indent=2)
-            pieces = list(_bids_json(bids[:count], 0))
-            assert "".join(pieces) == expected
-            # Each bid but the last is written with its separating comma.
-            assert max(piece.count(",") for piece in pieces) <= per_piece
-            assert len(pieces) == 2 + -(-(count - 1) // per_piece)
+            pieces = list(_bids_json(bids[:count]))
+            assert "".join(_laid_out(pieces, 0)) == expected
+            # Each bid is kept with its comma, per_piece bids a piece but in
+            # the last; the writer adds the array's first line.
+            full, rest = divmod(count, per_piece)
+            assert [piece.count(",") for piece in pieces] == (
+                [per_piece] * full + [rest] * (rest > 0)
+            )
+            assert len(list(_laid_out(pieces, 0))) == 1 + len(pieces)
+
+
+@settings(deadline=None)
+@given(
+    bids=bid_runs(IN_WINDOW_BIDS)
+    | bid_runs(IN_WINDOW_BIDS | NEAR_WINDOW_BIDS)
+    | bid_runs(st.floats())
+    | st.tuples(bid_runs(IN_WINDOW_BIDS), st.integers(4, 12)).map(lambda rt: rt[0] * rt[1]),
+    per_piece=st.integers(1, 7),
+    depth=st.sampled_from([0, 3]),
+)
+@example(bids=(), per_piece=1, depth=0)
+@example(bids=(0.3,), per_piece=1, depth=3)
+@example(bids=tuple(0.25 + k / 64 for k in range(12)), per_piece=4, depth=3)  # window
+@example(bids=(0.3, 2.6) * 6, per_piece=4, depth=3)  # table, at a piece edge
+@example(bids=(0.3, 2.6) * 6 + (0.5,), per_piece=4, depth=0)  # table, one past an edge
+@example(bids=(1e-5, 0.3, math.nan, 2.6, -0.0), per_piece=2, depth=3)  # json
+def test_the_writer_lays_out_the_kept_text_as_json_dumps(bids, per_piece, depth):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("spotbid.cli._BIDS_PER_PIECE", per_piece)
+        kept = list(_bids_json(bids))
+    # The kept text is each bid's text and its comma, without layout.
+    assert "".join(kept).count(",") == len(bids)
+    assert all(piece.endswith(",") and "\n" not in piece and " " not in piece
+               for piece in kept)
+    assert [piece.count(",") for piece in kept[:-1]] == [per_piece] * (len(kept) - 1)
+    laid_out = list(_laid_out(kept, depth))
+    expected = json.dumps(_rounded(bids), indent=2).replace("\n", "\n" + "  " * depth)
+    assert "".join(laid_out) == expected
+    assert len(laid_out) == 1 + len(kept)
 
 
 @pytest.mark.parametrize(
@@ -1490,12 +1531,15 @@ def test_bids_json_piece_edges(monkeypatch, per_piece):
     ids=["longest", "distinct", "table"],
 )
 def test_bids_json_pieces_hold_at_most_64_kib(bids):
-    # A kept text is held, and crosses a fork's pipe, in these pieces.
-    pieces = list(_bids_json(bids, 3))
+    # A kept text is held, and crosses a fork's pipe, in these pieces; the
+    # writer writes each laid out.
+    pieces = list(_bids_json(bids))
+    laid_out = list(_laid_out(pieces, 3))
     expected = json.dumps([round(bid, 6) for bid in bids], indent=2)
-    assert "".join(pieces) == expected.replace("\n", "\n      ")
-    assert len(pieces) == 5
-    assert max(map(len, pieces)) <= 65_536
+    assert "".join(laid_out) == expected.replace("\n", "\n      ")
+    assert len(pieces) == 4 and len(laid_out) == 5
+    assert max(map(len, pieces)) <= 48_175
+    assert max(map(len, laid_out)) <= 65_518
 
 
 @pytest.mark.parametrize(
@@ -1519,7 +1563,7 @@ def test_bids_json_pieces_bound_transient_memory(start, step, limit):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        size = sum(map(len, _bids_json(bids, 3)))
+        size = sum(map(len, _laid_out(_bids_json(bids), 3)))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -3,6 +3,7 @@ and every validation message."""
 import copy
 import math
 import pickle
+from array import array
 
 import pytest
 
@@ -105,9 +106,9 @@ RECORDS = [
     ),
     (
         lambda: sb.PriceTrace((60, 120), (1.0, 1.5)),
-        "PriceTrace(stamps=(60, 120), price_column=(1.0, 1.5), instance_type='', "
-        "product='', zone='')",
-        ((60, 120), (1.0, 1.5), "", "", ""),
+        "PriceTrace(stamps=array('q', [60, 120]), price_column=(1.0, 1.5), "
+        "instance_type='', product='', zone='')",
+        (array("q", [60, 120]), (1.0, 1.5), "", "", ""),
     ),
 ]
 
@@ -151,7 +152,9 @@ def test_record_equality_and_hash_follow_the_fields(build, text, values):
     assert first is not second
     assert first == second
     assert not first != second
-    assert hash(first) == hash(second) == hash(values)
+    # An array has no hash: a trace hashes its stamps as a tuple.
+    hashable = tuple(tuple(v) if type(v) is array else v for v in values)
+    assert hash(first) == hash(second) == hash(hashable)
 
 
 @pytest.mark.parametrize("build, text, values", RECORDS, ids=RECORD_IDS)

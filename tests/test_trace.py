@@ -2,8 +2,10 @@
 import csv
 import io
 import json
+import pickle
 import sys
 import tracemalloc
+from array import array
 from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
 
@@ -551,6 +553,88 @@ def test_validate_errors():
         sb.validate(make_trace([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("stamps, prices", [
+    ((60, 120, 180), (1.0,)),
+    ((60,), (1.0, 2.0)),
+    ((), (1.0,)),
+])
+def test_validate_rejects_columns_of_different_lengths(band, stamps, prices):
+    message = (f"the timestamp and price columns differ in length: "
+               f"{len(stamps)} and {len(prices)}")
+    trace = sb.PriceTrace(stamps, prices)
+    with pytest.raises(sb.DataError) as caught:
+        sb.validate(trace)
+    assert str(caught.value) == message
+    # A backtest validates its trace first, so it scores no shorter column.
+    spec = sb.StrategySpec(kind=sb.StrategyKind.ONDEMAND)
+    with pytest.raises(sb.DataError, match="differ in length"):
+        sb.backtest(trace, [spec], band)
+
+
+def test_validate_checks_lengths_after_the_other_invariants():
+    # Each earlier check keeps its message for a trace whose columns also
+    # differ in length.
+    with pytest.raises(sb.DataError, match="^empty trace$"):
+        sb.validate(sb.PriceTrace((60,), ()))
+    with pytest.raises(sb.DataError, match="nonpositive price 0.0 at index 1"):
+        sb.validate(sb.PriceTrace((60,), (1.0, 0.0)))
+    with pytest.raises(sb.DataError, match="non-increasing timestamps at indices 0 and 1"):
+        sb.validate(sb.PriceTrace((120, 60, 180), (1.0, 2.0)))
+
+
+def _is_stamp_array(stamps):
+    return type(stamps) is array and stamps.typecode == "q"
+
+
+def test_every_producer_gives_array_stamps(band, monkeypatch):
+    csv_text = (FIXTURES / "stephold_1001.csv").read_bytes()
+    aws = (FIXTURES / "aws_5records.json").read_bytes()
+    synth = sb.synth_step_hold(sb.SynthConfig(band=band, n_points=300, seed=5))
+    traces = {
+        "csv chunk pass": sb.parse_csv(csv_text),
+        "aws pieces": sb.parse_aws_json(aws),
+        "aws whole decode": sb.parse_aws_json(aws.decode()),  # a str is decoded whole
+        "synth": synth,
+        "tuple": sb.PriceTrace(tuple(synth.stamps), synth.price_column),
+        "list": sb.PriceTrace(list(synth.stamps), synth.price_column),
+        "range": sb.PriceTrace(range(60, 60 * 301, 60), synth.price_column),
+    }
+    with monkeypatch.context() as mp:
+        mp.setattr(sb.trace, "_convert_chunk", lambda chunk, stamps, prices: False)
+        traces["csv row loop"] = sb.parse_csv(csv_text)
+    for name, trace in traces.items():
+        assert _is_stamp_array(trace.stamps), name
+        assert type(trace.price_column) is tuple, name
+    # An array('q') is kept as it is; an array of another type is copied.
+    assert sb.PriceTrace(synth.stamps, synth.price_column).stamps is synth.stamps
+    other = array("l", synth.stamps)
+    assert _is_stamp_array(sb.PriceTrace(other, synth.price_column).stamps)
+    assert traces["csv row loop"] == traces["csv chunk pass"]
+    assert traces["aws pieces"] == traces["aws whole decode"]
+    assert traces["tuple"] == traces["list"] == sb.PriceTrace(
+        synth.stamps, synth.price_column
+    )
+
+
+def test_traces_from_different_producers_compare_equal(band):
+    synth = sb.synth_step_hold(sb.SynthConfig(band=band, n_points=300, seed=5))
+    parsed = sb.parse_csv(sb.to_csv(synth))
+    built = sb.PriceTrace(tuple(synth.stamps), synth.prices(), instance_type="synthetic")
+    assert parsed == sb.PriceTrace(synth.stamps, synth.prices())
+    assert built == synth and hash(built) == hash(synth)
+    assert hash(synth) == hash(
+        (tuple(synth.stamps), synth.prices(), "synthetic", "", "")
+    )
+    assert repr(synth).startswith("PriceTrace(stamps=array('q', [1577836800, ")
+    twin = pickle.loads(pickle.dumps(synth))
+    assert twin == synth and _is_stamp_array(twin.stamps)
+    assert repr(twin) == repr(synth)
+    aws = sb.parse_aws_json((FIXTURES / "aws_5records.json").read_bytes())
+    rebuilt = sb.PriceTrace(list(aws.stamps), aws.prices(), aws.instance_type,
+                            aws.product, aws.zone)
+    assert rebuilt == aws and hash(rebuilt) == hash(aws)
+
+
 def test_parse_aws_json_fixture_unfiltered():
     raw = (FIXTURES / "aws_5records.json").read_bytes()
     trace = sb.parse_aws_json(raw)
@@ -947,7 +1031,7 @@ def test_parse_aws_json_checks_a_declined_record_inline_only_once(monkeypatch):
     monkeypatch.setattr(sb.trace, "datetime", SimpleNamespace(fromisoformat=fromisoformat))
     stamps = [f"2020-01-01T00:0{minute}:00z" for minute in range(3)]
     trace = sb.parse_aws_json(_wrapped([*map(_record, stamps)]).encode())
-    assert trace.stamps == tuple(1577836800 + 60 * minute for minute in range(3))
+    assert trace.stamps == array("q", (1577836800 + 60 * minute for minute in range(3)))
     assert seen == stamps + [stamp[:-1] + "+00:00" for stamp in stamps]
 
 
@@ -1120,7 +1204,7 @@ def test_stored_prices_leave_identity_unchanged():
     twin = make_trace([1.0, 2.0, 1.5], zone="z")
     assert trace == twin
     assert hash(trace) == hash(twin) == hash(
-        (trace.stamps, trace.price_column, "", "", "z")
+        (tuple(trace.stamps), trace.price_column, "", "", "z")
     )
     assert repr(trace) == (
         f"PriceTrace(stamps={trace.stamps!r}, price_column={trace.price_column!r}, "
